@@ -16,20 +16,24 @@
 //	click on treemap     select a peak; a spring-layout node-link view
 //	                     of the selected component appears beside it
 //	                     (the "Linked-2D-Displays callback")
-//	α slider             list maximal α-connected components
-//	spectrum             the contour spectrum B0(α) curve as JSON
-//	measure selector     switch the served measure at runtime
-//	                     (/measure?name=ktruss)
+//	peaks / spectrum     the peaks at α and the contour spectrum B0(α),
+//	                     fetched as batch-API ops on the page's key
+//	measure selector     switch the page to another measure
 //
-// The server is a thin frontend over internal/query: every analysis
-// lives in an immutable Snapshot cached per (dataset, measure, color,
-// bins) key, so /measure is a cache lookup — switching back to a
-// recently served measure swaps instantly, concurrent switches never
-// tear a response, and N concurrent requests for an uncached key run
+// The server is a thin, stateless frontend over internal/query: every
+// analysis lives in an immutable Snapshot cached per (dataset, measure,
+// color, bins) key, and every viewer URL names its own key through the
+// dataset, measure, color and bins parameters:
+//
+//	/?dataset=Astro&measure=ktruss
+//
+// Parameters left out take the startup key's values (-dataset or
+// -input, -measure, -color, -bins), merged by the same rule the batch
+// API applies. Two viewers on one server therefore never see each
+// other's choices, and N concurrent requests for an uncached key run
 // one analysis through one pooled scalarfield.Analyzer. The startup
 // dataset registers at boot; any other Table I dataset loads on
-// demand (/measure?dataset=Astro), generated at the startup -scale
-// and -seed.
+// demand, generated at the startup -scale and -seed.
 //
 // POST /api/v1/query is the batched query API: a list of operations
 // (alpha_cut, peaks, mcc, component_of, spectrum, lci, gci) answered
@@ -54,14 +58,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"html/template"
-	"image/color"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,16 +70,13 @@ import (
 	"time"
 
 	scalarfield "repro"
-	"repro/internal/baselines"
 	"repro/internal/datasets"
 	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/query"
-	"repro/internal/render"
 	"repro/internal/resilience"
 	"repro/internal/shard"
-	"repro/internal/terrain"
 )
 
 func main() {
@@ -171,7 +169,7 @@ func main() {
 		log.Printf("fleet node %s at %s (%d seeds, probing peers every %v)",
 			*shardID, selfURL, len(seedMembers), *probeInterval)
 	}
-	snap, err := srv.snapshot()
+	snap, err := srv.engine.Snapshot(srv.api.Defaults)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
@@ -221,43 +219,25 @@ func parsePeers(spec string) (map[string]string, error) {
 	return peers, nil
 }
 
-// server is a thin multi-dataset frontend over the query engine. Its
-// only mutable state is the viewer's current selection — a snapshot
-// Key — plus the sticky color preference; everything heavy (graphs,
-// terrains, spectra, fields) lives in the engine's immutable,
-// cache-coalesced snapshots. Handlers resolve the current Key to a
-// Snapshot and read only that, so every response is internally
-// consistent even while measures and datasets flip concurrently.
+// server is a thin multi-dataset frontend over the query engine. It
+// holds no per-viewer state: every request names its snapshot key, and
+// everything heavy (graphs, terrains, spectra, fields) lives in the
+// engine's immutable, cache-coalesced snapshots. Handlers resolve
+// their key to a Snapshot and read only that, so every response is
+// internally consistent.
 type server struct {
-	bins   int
 	engine *query.Engine
+	// api serves the batch query API. Its Defaults is the startup key,
+	// fixed before traffic; viewer URLs merge over it too.
+	api *query.Handler
 
-	mu      sync.RWMutex
-	current query.Key
-	// want is the latest requested selection. It runs ahead of current
-	// while a cache-miss analysis is still in flight in the background:
-	// the viewer keeps serving current (the stale snapshot) and swaps to
-	// want when its analysis lands — unless a newer request superseded
-	// it first. want == current means the selection is settled.
-	want query.Key
-	// colorPref is the sticky color preference (the -color flag or the
-	// last explicit color= override). The served Key.Color may drop it
-	// for measures on the other basis; the preference survives the
-	// round trip.
-	colorPref string
-	// bgErr records the most recent background-analysis failure, so a
-	// polling client can tell "the switch failed, pending cleared back
-	// to the old selection" from "the switch landed". A new switch
-	// request or a successful swap clears it.
-	bgErr string
-
-	// Shard-fleet state (nil/"" when not sharded), guarded by mu like
-	// the selection: the ring decides each batch-query key's owner, and
-	// non-owned keys are forwarded to peerURLs[owner]. Only the batch
-	// API routes; the viewer endpoints always serve the local
-	// selection. With dynamic membership (startFleet) the ring and
-	// peerURLs are rebuilt on every adopted view change; with setShard
-	// (tests, static fleets) they are fixed.
+	// Shard-fleet state (nil/"" when not sharded), guarded by mu: the
+	// ring decides each batch-query key's owner, and non-owned keys are
+	// forwarded to peerURLs[owner]. Only the batch API routes; the
+	// viewer endpoints always serve locally. With dynamic membership
+	// (startFleet) the ring and peerURLs are rebuilt on every adopted
+	// view change; with setShard (tests, static fleets) they are fixed.
+	mu        sync.RWMutex
 	shardSelf string
 	ring      *shard.Ring
 	peerURLs  map[string]string
@@ -424,9 +404,9 @@ func newServer(cfg serverConfig) (*server, error) {
 	forwardTimeout := cfg.forwardTimeout
 	if forwardTimeout <= 0 {
 		// Finite but generous: an owner analyzing a big stand-in can
-		// legitimately hold a forwarded request for minutes (the viewer
-		// polls up to 10), but a hung owner must eventually trip the
-		// local fallback instead of wedging relays forever.
+		// legitimately hold a forwarded request for minutes, but a hung
+		// owner must eventually trip the local fallback instead of
+		// wedging relays forever.
 		forwardTimeout = 15 * time.Minute
 	}
 	probeTimeout := cfg.probeTimeout
@@ -439,7 +419,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	scale, seed := cfg.scale, cfg.seed
 	s := &server{
-		bins: cfg.bins,
 		breakers: resilience.NewBreakerSet(resilience.BreakerConfig{
 			Threshold: cfg.breakerThreshold,
 			Cooldown:  cfg.breakerCooldown,
@@ -481,133 +460,32 @@ func newServer(cfg serverConfig) (*server, error) {
 	// over the store: assign after both exist. Traffic starts later.
 	s.peerStore.Generation = s.engine.DatasetGeneration
 	s.engine.RegisterDataset(name, g)
-	s.current = query.Key{Dataset: name, Bins: cfg.bins}
-	s.want = s.current
-	// The raw flag value, not colorFor: a cross-basis -color is a
-	// startup error, not something to silently drop. Startup blocks on
-	// the first analysis — there is no previous snapshot to serve yet.
-	if _, err := s.setSelection(name, cfg.measure, cfg.colorBy, true, true); err != nil {
+	s.api = &query.Handler{
+		Engine: s.engine, Route: s.route,
+		// The startup key: the raw flags, so a bad -measure or a
+		// cross-basis -color is a startup error below, not something to
+		// silently drop.
+		Defaults: query.Key{Dataset: name, Measure: cfg.measure, Color: cfg.colorBy, Bins: cfg.bins},
+		Client:   s.forwardClient,
+		Breakers: s.breakers,
+		// Serving a marked-stale snapshot beats a 500 when a re-analysis
+		// fails under load or injected faults.
+		AllowStale: true,
+		// Forwarded requests carry the sender's view epoch; a mismatch
+		// means the fleet is mid-transition and two nodes may briefly
+		// route one key differently. Detection (count + hook), not
+		// rejection: the snapshot Seq guard keeps answers correct.
+		ViewEpoch:       s.viewEpoch,
+		OnEpochMismatch: s.noteEpochMismatch,
+	}
+	// Startup blocks on the startup key's analysis, so the first page
+	// load is a cache hit; the analysis validates the key first.
+	snap, err := s.engine.Snapshot(s.api.Defaults)
+	if err != nil {
 		return nil, err
 	}
+	snap.Release()
 	return s, nil
-}
-
-// setSelection points the viewer at (dataset, measure, colorBy).
-// Validation (measure names, color basis, dataset resolution) is
-// synchronous, so client mistakes surface on this request. A key with
-// a cached snapshot swaps immediately. On a cache miss — unless block
-// forces the old synchronous behavior — the viewer keeps serving the
-// current stale snapshot and the analysis runs in the background: the
-// engine's singleflight makes concurrent requests for one key run it
-// exactly once, and the selection swaps when the analysis lands,
-// unless a newer request superseded it first. Returns pending=true
-// when the swap was deferred. With rememberColor, colorBy becomes the
-// sticky preference as soon as the request validates.
-func (s *server) setSelection(dataset, measure, colorBy string, rememberColor, block bool) (pending bool, err error) {
-	if _, ok := scalarfield.LookupMeasure(measure); !ok {
-		return false, fmt.Errorf("unknown measure %q (try one of %s)",
-			measure, strings.Join(scalarfield.Measures(), ", "))
-	}
-	key := query.Key{Dataset: dataset, Measure: measure, Color: colorBy, Bins: s.bins}
-	if err := query.ValidateKey(key); err != nil {
-		return false, err
-	}
-	// Resolve the dataset up front: an unknown name stays a synchronous
-	// client error, and generation is cheap next to analysis.
-	if _, err := s.engine.Graph(dataset); err != nil {
-		return false, err
-	}
-	if block || s.engine.Cached(key) {
-		snap, err := s.engine.Snapshot(key)
-		if err != nil {
-			return false, err
-		}
-		snap.Release() // warmed the cache; this handler keeps nothing
-
-		s.mu.Lock()
-		s.current, s.want = key, key
-		s.bgErr = ""
-		if rememberColor {
-			s.colorPref = colorBy
-		}
-		s.mu.Unlock()
-		return false, nil
-	}
-	s.mu.Lock()
-	s.want = key
-	s.bgErr = ""
-	if rememberColor {
-		s.colorPref = colorBy
-	}
-	s.mu.Unlock()
-	go func() {
-		snap, err := s.engine.Snapshot(key)
-		if err == nil {
-			snap.Release() // warmed the cache; nothing retained here
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.want != key {
-			return // superseded by a newer selection
-		}
-		if err != nil {
-			// The background analysis failed: stop advertising it as
-			// pending, keep serving the last good snapshot, and record
-			// the failure so polling clients see why the swap never
-			// landed.
-			log.Printf("background analysis for %+v failed: %v", key, err)
-			s.want = s.current
-			s.bgErr = fmt.Sprintf("analysis of (%s, %s) failed: %v", key.Dataset, key.Measure, err)
-			return
-		}
-		s.current = key
-	}()
-	return true, nil
-}
-
-// currentKey returns the viewer's served selection; it is also the
-// Defaults hook of the batch query handler.
-func (s *server) currentKey() query.Key {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.current
-}
-
-// wantKey returns the latest requested selection — ahead of currentKey
-// while a background analysis is in flight. Switch requests default
-// their missing halves from it, so a partial switch composes with an
-// acknowledged in-flight one instead of silently reverting it.
-func (s *server) wantKey() query.Key {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.want
-}
-
-// snapshot resolves the current selection to its immutable snapshot —
-// a cache hit in the steady state.
-func (s *server) snapshot() (*query.Snapshot, error) {
-	return s.engine.Snapshot(s.currentKey())
-}
-
-// colorFor resolves the preferred color measure (the -color flag, or
-// the last explicit color= override) against the named height measure:
-// it carries over while it shares the measure's vertex/edge basis and
-// is dropped — for this analysis only, the preference stays — when it
-// does not. Keeping the preference sticky means kcore→ktruss→kcore
-// round-trips restore the original coloring.
-func (s *server) colorFor(measure string) string {
-	s.mu.RLock()
-	colorBy := s.colorPref
-	s.mu.RUnlock()
-	if colorBy == "" {
-		return ""
-	}
-	mInfo, ok := scalarfield.LookupMeasure(measure)
-	cInfo, cok := scalarfield.LookupMeasure(colorBy)
-	if !ok || !cok || mInfo.Edge != cInfo.Edge {
-		return ""
-	}
-	return colorBy
 }
 
 func (s *server) routes() *http.ServeMux {
@@ -616,10 +494,7 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("/terrain.png", s.handleTerrain)
 	mux.HandleFunc("/treemap.png", s.handleTreemap)
 	mux.HandleFunc("/linked.png", s.handleLinked)
-	mux.HandleFunc("/peaks", s.handlePeaks)
 	mux.HandleFunc("/select", s.handleSelect)
-	mux.HandleFunc("/spectrum", s.handleSpectrum)
-	mux.HandleFunc("/measure", s.handleMeasure)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/api/v1/fleet/view", s.handleFleetView)
@@ -633,20 +508,7 @@ func (s *server) routes() *http.ServeMux {
 		Local:  s.peerStore.LocalGet,
 		OnPush: s.handleSnapshotPush,
 	})
-	mux.Handle("/api/v1/query", &query.Handler{
-		Engine: s.engine, Defaults: s.currentKey, Route: s.route,
-		Client:   s.forwardClient,
-		Breakers: s.breakers,
-		// Serving a marked-stale snapshot beats a 500 when a re-analysis
-		// fails under load or injected faults.
-		AllowStale: true,
-		// Forwarded requests carry the sender's view epoch; a mismatch
-		// means the fleet is mid-transition and two nodes may briefly
-		// route one key differently. Detection (count + hook), not
-		// rejection: the snapshot Seq guard keeps answers correct.
-		ViewEpoch:       s.viewEpoch,
-		OnEpochMismatch: s.noteEpochMismatch,
-	})
+	mux.Handle("/api/v1/query", s.api)
 	return mux
 }
 
@@ -742,387 +604,6 @@ func (s *server) startHealthProbes(opts resilience.ProbeOptions) (stop func()) {
 	}
 }
 
-// handleMeasure switches the served measure and/or dataset:
-// /measure?name=ktruss re-points the viewer, /measure?dataset=Astro
-// loads or generates another dataset on demand, and with no parameters
-// it reports the current selection and the registry. A switch to a
-// cached key swaps instantly; a cache miss answers immediately from
-// the current stale snapshot with pending=true and requestedMeasure/
-// requestedDataset echoing the in-flight selection — the analysis runs
-// in the background (exactly once, via the engine's singleflight) and
-// the viewer swaps when it lands. Clients poll /measure until pending
-// clears. The startup -color measure carries over across switches
-// while its basis matches; pass an explicit color= (possibly empty) to
-// override.
-func (s *server) handleMeasure(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	ds := r.URL.Query().Get("dataset")
-	if name != "" || ds != "" {
-		// Defaults come from the latest requested selection, not the
-		// (possibly stale) served one: /measure?dataset=X issued while
-		// a measure switch is still pending must keep that measure.
-		want := s.wantKey()
-		if name == "" {
-			name = want.Measure
-		}
-		if ds == "" {
-			ds = want.Dataset
-		}
-		// An explicit color= goes straight to the pipeline (a bad one
-		// is the client's error to see) and becomes the sticky
-		// preference; otherwise the stored preference carries over
-		// where its basis fits.
-		explicit := r.URL.Query().Has("color")
-		var colorBy string
-		if explicit {
-			colorBy = r.URL.Query().Get("color")
-		} else {
-			colorBy = s.colorFor(name)
-		}
-		if _, err := s.setSelection(ds, name, colorBy, explicit, false); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	// Read the selection state atomically BEFORE resolving the
-	// snapshot: resolving first would let the background swap land in
-	// between, producing a response that serves the old snapshot yet
-	// claims pending=false — which would end client polling on a stale
-	// state. Reading (current, want) together and then resolving
-	// current keeps the served measure and the pending flag from one
-	// consistent selection; a later poll observes the swap.
-	s.mu.RLock()
-	cur, want, bgErr := s.current, s.want, s.bgErr
-	s.mu.RUnlock()
-	pending := cur != want
-	snap, err := s.engine.Snapshot(cur)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	defer snap.Release()
-	resp := struct {
-		Dataset          string   `json:"dataset"`
-		Measure          string   `json:"measure"`
-		Edge             bool     `json:"edge"`
-		SuperNodes       int      `json:"superNodes"`
-		Available        []string `json:"available"`
-		Datasets         []string `json:"datasets"`
-		Pending          bool     `json:"pending"`
-		RequestedDataset string   `json:"requestedDataset,omitempty"`
-		RequestedMeasure string   `json:"requestedMeasure,omitempty"`
-		// Error reports the most recent background-analysis failure:
-		// pending=false with a non-empty error means the last switch
-		// did not land and the old selection is still being served.
-		Error string `json:"error,omitempty"`
-	}{
-		Dataset: snap.Key.Dataset, Measure: snap.Key.Measure, Edge: snap.Edge,
-		SuperNodes: snap.Terrain.Tree.Len(),
-		Available:  scalarfield.Measures(), Datasets: s.engine.Datasets(),
-		Pending: pending, Error: bgErr,
-	}
-	if pending {
-		resp.RequestedDataset, resp.RequestedMeasure = want.Dataset, want.Measure
-	}
-	writeJSON(w, resp)
-}
-
-// withSnapshot resolves the current snapshot or reports 500; handlers
-// hold the returned snapshot for their whole response, so everything
-// they read is from one analysis.
-func (s *server) withSnapshot(w http.ResponseWriter) (*query.Snapshot, bool) {
-	snap, err := s.snapshot()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return nil, false
-	}
-	return snap, true
-}
-
-func (s *server) handleTerrain(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.withSnapshot(w)
-	if !ok {
-		return
-	}
-	defer snap.Release()
-	opts := render.Options{
-		Angle:  floatParam(r, "angle", 0.6),
-		Zoom:   floatParam(r, "zoom", 1),
-		Width:  intParam(r, "w", 960),
-		Height: intParam(r, "h", 720),
-	}
-	img := snap.Terrain.Render(opts)
-	w.Header().Set("Content-Type", "image/png")
-	if err := render.EncodePNG(w, img); err != nil {
-		log.Printf("terrain.png: %v", err)
-	}
-}
-
-func (s *server) handleTreemap(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.withSnapshot(w)
-	if !ok {
-		return
-	}
-	defer snap.Release()
-	size := intParam(r, "size", 480)
-	if size < 64 {
-		size = 64
-	}
-	if size > 1024 {
-		size = 1024
-	}
-	img := snap.Terrain.RenderTreemap(size)
-	w.Header().Set("Content-Type", "image/png")
-	if err := render.EncodePNG(w, img); err != nil {
-		log.Printf("treemap.png: %v", err)
-	}
-}
-
-// handleLinked renders the paper's linked 2D display: a spring layout
-// of the component selected by a click at layout coordinates (x,y).
-func (s *server) handleLinked(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.withSnapshot(w)
-	if !ok {
-		return
-	}
-	defer snap.Release()
-	t := snap.Terrain
-	node, found := nodeAt(t, r)
-	if !found {
-		http.Error(w, "no node at the given point", http.StatusNotFound)
-		return
-	}
-	items := t.Tree.SubtreeItems(node)
-	vertices := itemVertices(snap, items)
-	if len(vertices) > 3000 {
-		vertices = vertices[:3000] // keep the interactive path responsive
-	}
-	sub, origIDs := graph.InducedSubgraph(snap.Graph, vertices)
-	pos := baselines.SpringLayout(sub, baselines.SpringOptions{Seed: 7, Iterations: 150})
-	colors := make([]color.RGBA, sub.NumVertices())
-	scalars := t.Tree.Scalar
-	lo, hi := scalars[0], scalars[0]
-	for _, v := range scalars {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	for v := range colors {
-		c := 0.5
-		if hi > lo {
-			c = (itemScalar(snap, origIDs[v]) - lo) / (hi - lo)
-		}
-		colors[v] = terrain.Colormap(c)
-	}
-	img := baselines.DrawNodeLink(sub, pos, colors, baselines.DrawOptions{
-		Size: intParam(r, "size", 480),
-	})
-	w.Header().Set("Content-Type", "image/png")
-	if err := render.EncodePNG(w, img); err != nil {
-		log.Printf("linked.png: %v", err)
-	}
-}
-
-// itemVertices converts item IDs to vertex IDs: identity for vertex
-// fields, edge endpoints for edge fields.
-func itemVertices(snap *query.Snapshot, items []int32) []int32 {
-	if !snap.Edge {
-		return items
-	}
-	seen := map[int32]bool{}
-	var verts []int32
-	for _, e := range items {
-		ed := snap.Graph.Edge(e)
-		for _, v := range []int32{ed.U, ed.V} {
-			if !seen[v] {
-				seen[v] = true
-				verts = append(verts, v)
-			}
-		}
-	}
-	return verts
-}
-
-// itemScalar returns the scalar of the super node owning the item; for
-// edge-based fields the item is a vertex of the linked view, so the
-// vertex inherits the max incident edge scalar.
-func itemScalar(snap *query.Snapshot, item int32) float64 {
-	tree := snap.Terrain.Tree
-	if !snap.Edge {
-		return tree.Scalar[tree.NodeOf[item]]
-	}
-	best := 0.0
-	for _, e := range snap.Graph.IncidentEdges(item) {
-		if v := tree.Scalar[tree.NodeOf[e]]; v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-func nodeAt(t *scalarfield.Terrain, r *http.Request) (int32, bool) {
-	x := floatParam(r, "x", -1)
-	y := floatParam(r, "y", -1)
-	if x < 0 || x > 1 || y < 0 || y > 1 {
-		return 0, false
-	}
-	node := t.Layout.NodeAtPoint(x, y)
-	return node, node >= 0
-}
-
-func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.withSnapshot(w)
-	if !ok {
-		return
-	}
-	defer snap.Release()
-	node, found := nodeAt(snap.Terrain, r)
-	if !found {
-		http.Error(w, "no node at the given point", http.StatusNotFound)
-		return
-	}
-	tree := snap.Terrain.Tree
-	items := tree.SubtreeItems(node)
-	resp := struct {
-		Node      int32   `json:"node"`
-		Scalar    float64 `json:"scalar"`
-		ItemCount int     `json:"itemCount"`
-		Items     []int32 `json:"items"`
-	}{Node: node, Scalar: tree.Scalar[node], ItemCount: len(items), Items: items}
-	if len(resp.Items) > 200 {
-		resp.Items = resp.Items[:200]
-	}
-	writeJSON(w, resp)
-}
-
-func (s *server) handlePeaks(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.withSnapshot(w)
-	if !ok {
-		return
-	}
-	defer snap.Release()
-	alpha := floatParam(r, "alpha", 0)
-	peaks := snap.Terrain.Peaks(alpha)
-	type peakJSON struct {
-		Node   int32   `json:"node"`
-		Height float64 `json:"height"`
-		Items  int     `json:"items"`
-	}
-	out := make([]peakJSON, len(peaks))
-	for i, p := range peaks {
-		out[i] = peakJSON{Node: p.Node, Height: p.Top, Items: p.Items}
-	}
-	writeJSON(w, struct {
-		Alpha float64    `json:"alpha"`
-		Peaks []peakJSON `json:"peaks"`
-	}{alpha, out})
-}
-
-func (s *server) handleSpectrum(w http.ResponseWriter, _ *http.Request) {
-	snap, ok := s.withSnapshot(w)
-	if !ok {
-		return
-	}
-	defer snap.Release()
-	writeJSON(w, snap.Spectrum)
-}
-
-var indexTmpl = template.Must(template.New("index").Parse(`<!doctype html>
-<title>scalarfield terrain — {{.Name}}</title>
-<style>
-body { font-family: sans-serif; margin: 1em; }
-.row { display: flex; gap: 1em; align-items: flex-start; }
-img { border: 1px solid #ccc; }
-#info { max-width: 28em; font-size: 0.9em; white-space: pre-wrap; }
-</style>
-<h1>{{.Name}} — {{.Nodes}} vertices, {{.Edges}} edges, <span id="super">{{.Super}}</span> super nodes</h1>
-<p>
-measure <select id="measure">{{$cur := .Measure}}{{range .Measures}}<option{{if eq . $cur}} selected{{end}}>{{.}}</option>{{end}}</select>
-angle <input id="angle" type="range" min="0" max="6.28" step="0.05" value="0.6">
-zoom <input id="zoom" type="range" min="0.5" max="6" step="0.1" value="1">
-α <input id="alpha" type="number" step="any" value="0" style="width:6em">
-<button onclick="loadPeaks()">peaks</button>
-<a href="/spectrum">spectrum</a>
-</p>
-<div class="row">
-  <img id="terrain" src="/terrain.png" width="640" height="480">
-  <img id="treemap" src="/treemap.png" width="360" height="360"
-       title="click to select a peak (linked 2D display)">
-  <img id="linked" width="360" height="360" alt="linked view">
-</div>
-<div id="info">click the treemap to inspect a component</div>
-<script>
-const angle = document.getElementById('angle'), zoom = document.getElementById('zoom');
-function refresh() {
-  document.getElementById('terrain').src =
-    '/terrain.png?angle=' + angle.value + '&zoom=' + zoom.value + '&t=' + Date.now();
-}
-angle.oninput = refresh; zoom.oninput = refresh;
-document.getElementById('measure').onchange = async ev => {
-  const resp = await fetch('/measure?name=' + ev.target.value);
-  const body = await resp.text();
-  document.getElementById('info').textContent = body;
-  if (!resp.ok) return;
-  let data;
-  try { data = JSON.parse(body); } catch { return; }
-  // A cache miss answers from the stale snapshot with pending=true and
-  // re-analyzes in the background; poll until the new analysis lands
-  // (up to 10 minutes for the big stand-ins). If the deadline passes
-  // while still pending, keep showing the pending state rather than
-  // rendering the stale snapshot as if it were the requested one.
-  const deadline = Date.now() + 600000;
-  while (data.pending && Date.now() < deadline) {
-    await new Promise(r => setTimeout(r, 500));
-    // A transient poll failure must not abandon the switch; keep
-    // polling until the deadline.
-    try { data = await (await fetch('/measure')).json(); } catch {}
-  }
-  document.getElementById('info').textContent = JSON.stringify(data, null, 1);
-  if (data.pending) return;
-  document.getElementById('super').textContent = data.superNodes;
-  refresh();
-  document.getElementById('treemap').src = '/treemap.png?t=' + Date.now();
-};
-document.getElementById('treemap').onclick = async ev => {
-  const r = ev.target.getBoundingClientRect();
-  const x = (ev.clientX - r.left) / r.width, y = (ev.clientY - r.top) / r.height;
-  const resp = await fetch('/select?x=' + x + '&y=' + y);
-  document.getElementById('info').textContent = await resp.text();
-  document.getElementById('linked').src = '/linked.png?x=' + x + '&y=' + y + '&t=' + Date.now();
-};
-async function loadPeaks() {
-  const resp = await fetch('/peaks?alpha=' + document.getElementById('alpha').value);
-  document.getElementById('info').textContent = await resp.text();
-}
-</script>
-`))
-
-func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	snap, ok := s.withSnapshot(w)
-	if !ok {
-		return
-	}
-	defer snap.Release()
-	data := struct {
-		Name         string
-		Nodes, Edges int
-		Super        int
-		Measure      string
-		Measures     []string
-	}{snap.Key.Dataset, snap.Graph.NumVertices(), snap.Graph.NumEdges(),
-		snap.Terrain.Tree.Len(), snap.Key.Measure, scalarfield.Measures()}
-	if err := indexTmpl.Execute(w, data); err != nil {
-		log.Printf("index: %v", err)
-	}
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -1130,22 +611,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if err := enc.Encode(v); err != nil {
 		log.Printf("encoding response: %v", err)
 	}
-}
-
-func floatParam(r *http.Request, name string, def float64) float64 {
-	if s := r.URL.Query().Get(name); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil {
-			return v
-		}
-	}
-	return def
-}
-
-func intParam(r *http.Request, name string, def int) int {
-	if s := r.URL.Query().Get(name); s != "" {
-		if v, err := strconv.Atoi(s); err == nil {
-			return v
-		}
-	}
-	return def
 }

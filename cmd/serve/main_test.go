@@ -1,15 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"image/png"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"repro/internal/query"
 )
 
 func testServer(t *testing.T, measure, colorBy string) *httptest.Server {
@@ -31,50 +35,6 @@ func get(t *testing.T, url string) *http.Response {
 	}
 	t.Cleanup(func() { resp.Body.Close() })
 	return resp
-}
-
-// measureInfo mirrors the /measure response shape.
-type measureInfo struct {
-	Dataset          string   `json:"dataset"`
-	Measure          string   `json:"measure"`
-	Edge             bool     `json:"edge"`
-	SuperNodes       int      `json:"superNodes"`
-	Available        []string `json:"available"`
-	Datasets         []string `json:"datasets"`
-	Pending          bool     `json:"pending"`
-	RequestedDataset string   `json:"requestedDataset"`
-	RequestedMeasure string   `json:"requestedMeasure"`
-}
-
-func getMeasureInfo(t *testing.T, url string) measureInfo {
-	t.Helper()
-	resp := get(t, url)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s status %d", url, resp.StatusCode)
-	}
-	var info measureInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	return info
-}
-
-// waitSettled polls /measure until no background analysis is pending —
-// a switch on a cache miss answers from the stale snapshot immediately
-// and swaps when the background run lands.
-func waitSettled(t *testing.T, ts *httptest.Server) measureInfo {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		info := getMeasureInfo(t, ts.URL+"/measure")
-		if !info.Pending {
-			return info
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("selection still pending after 30s: %+v", info)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 func TestIndexServesHTML(t *testing.T) {
@@ -111,27 +71,31 @@ func TestTerrainAndTreemapArePNG(t *testing.T) {
 	}
 }
 
+// TestPeaksJSON covers the page's peaks button: a batch-API peaks op
+// posted with the page's key.
 func TestPeaksJSON(t *testing.T) {
 	ts := testServer(t, "kcore", "")
-	resp := get(t, ts.URL+"/peaks?alpha=2")
-	var out struct {
-		Alpha float64 `json:"alpha"`
-		Peaks []struct {
-			Node   int32   `json:"node"`
-			Height float64 `json:"height"`
-			Items  int     `json:"items"`
-		} `json:"peaks"`
+	resp, data := postQuery(t, ts.URL, `{"dataset": "GrQc", "measure": "kcore", "ops": [{"op": "peaks", "alpha": 2}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("peaks status %d: %s", resp.StatusCode, data)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	var out struct {
+		Results []struct {
+			Peaks []struct {
+				Node   int32   `json:"node"`
+				Height float64 `json:"height"`
+				Items  int     `json:"items"`
+			} `json:"peaks"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Alpha != 2 {
-		t.Fatalf("alpha echoed as %g", out.Alpha)
-	}
-	if len(out.Peaks) == 0 {
+	peaks := out.Results[0].Peaks
+	if len(peaks) == 0 {
 		t.Fatal("no peaks at α=2 on a GrQc-style graph")
 	}
-	for _, p := range out.Peaks {
+	for _, p := range peaks {
 		if p.Height < 2 || p.Items < 1 {
 			t.Fatalf("implausible peak %+v", p)
 		}
@@ -166,6 +130,50 @@ func TestSelectAndLinkedView(t *testing.T) {
 	}
 }
 
+// TestSelectIsTheClickedSubtree: /select answers a component_of op at
+// the clicked super node's own scalar, which by the super tree's
+// strictly decreasing scalars toward the root is exactly the node's
+// subtree (truncated to the op's default 200 items).
+func TestSelectIsTheClickedSubtree(t *testing.T) {
+	srv, err := newServer(serverConfig{dataset: "GrQc", scale: 0.03, seed: 42, measure: "kcore"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.routes())
+	t.Cleanup(ts.Close)
+	hits := 0
+	for _, measure := range []string{"kcore", "ktruss"} {
+		snap, err := srv.engine.Snapshot(query.Key{Dataset: "GrQc", Measure: measure})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Release()
+		for _, at := range []string{"x=0.5&y=0.5", "x=0.1&y=0.9", "x=0.33&y=0.2", "x=0.8&y=0.6"} {
+			status, body := fetch(t, ts.URL+"/select?measure="+measure+"&"+at)
+			if status == http.StatusNotFound {
+				continue // no node under this point
+			}
+			var sel struct {
+				Node      int32   `json:"node"`
+				ItemCount int     `json:"itemCount"`
+				Items     []int32 `json:"items"`
+			}
+			if err := json.Unmarshal(body, &sel); err != nil {
+				t.Fatalf("%s %s: status %d: %v", measure, at, status, err)
+			}
+			want := snap.Terrain.Tree.SubtreeItems(sel.Node)
+			if sel.ItemCount != len(want) || !slices.Equal(sel.Items, want[:min(len(want), 200)]) {
+				t.Fatalf("%s %s: selected %d items %v, want the subtree of node %d (%d items)",
+					measure, at, sel.ItemCount, sel.Items, sel.Node, len(want))
+			}
+			hits++
+		}
+	}
+	if hits < 4 {
+		t.Fatalf("only %d of the test points hit a node", hits)
+	}
+}
+
 func TestSelectOutOfRange404(t *testing.T) {
 	ts := testServer(t, "kcore", "")
 	for _, q := range []string{"?x=2&y=0.5", "?x=0.5&y=-1", ""} {
@@ -175,20 +183,21 @@ func TestSelectOutOfRange404(t *testing.T) {
 	}
 }
 
+// TestSpectrumJSON covers the page's spectrum button: a batch-API
+// spectrum op posted with the page's key.
 func TestSpectrumJSON(t *testing.T) {
 	ts := testServer(t, "kcore", "")
-	resp := get(t, ts.URL+"/spectrum")
-	var sp struct {
-		Levels     []float64 `json:"Levels"`
-		Components []int     `json:"Components"`
-		Items      []int     `json:"Items"`
+	resp, data := postQuery(t, ts.URL, `{"dataset": "GrQc", "measure": "kcore", "ops": [{"op": "spectrum"}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("spectrum status %d: %s", resp.StatusCode, data)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&sp); err != nil {
+	var out batchResponse
+	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(sp.Levels) == 0 || len(sp.Levels) != len(sp.Components) || len(sp.Levels) != len(sp.Items) {
-		t.Fatalf("inconsistent spectrum: %d levels, %d comps, %d items",
-			len(sp.Levels), len(sp.Components), len(sp.Items))
+	sp := out.Results[0].Spectrum
+	if sp == nil || len(sp.Levels) == 0 || len(sp.Levels) != len(sp.Components) || len(sp.Levels) != len(sp.Items) {
+		t.Fatalf("inconsistent spectrum: %+v", sp)
 	}
 }
 
@@ -203,106 +212,98 @@ func TestEdgeMeasureServer(t *testing.T) {
 	}
 }
 
+// fetch GETs url and returns its status and body; fetchErr is the
+// variant for goroutines other than the test's own.
+func fetch(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	status, body, err := fetchErr(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, body
+}
+
+func fetchErr(url string) (int, []byte, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, err
+}
+
+// TestMeasureSwitchEndpoint switches measures through the viewer's
+// URLs: a measure parameter selects that measure's snapshot for the
+// one request, and requests without it keep the startup measure.
 func TestMeasureSwitchEndpoint(t *testing.T) {
 	ts := testServer(t, "kcore", "")
 
-	// No name: report the current measure and the registry.
-	var info struct {
-		Measure    string   `json:"measure"`
-		Edge       bool     `json:"edge"`
-		SuperNodes int      `json:"superNodes"`
-		Available  []string `json:"available"`
+	_, page := fetch(t, ts.URL+"/?measure=ktruss")
+	if !strings.Contains(string(page), "<option selected>ktruss</option>") {
+		t.Fatal("/?measure=ktruss does not show ktruss as the selected measure")
 	}
-	resp := get(t, ts.URL+"/measure")
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatal(err)
+	_, kcore := fetch(t, ts.URL+"/treemap.png?size=128")
+	status, ktruss := fetch(t, ts.URL+"/treemap.png?size=128&measure=ktruss")
+	if status != http.StatusOK {
+		t.Fatalf("treemap for ktruss: status %d", status)
 	}
-	if info.Measure != "kcore" || info.Edge || len(info.Available) == 0 {
-		t.Fatalf("initial measure state %+v", info)
+	if bytes.Equal(kcore, ktruss) {
+		t.Fatal("the ktruss treemap is the startup kcore one")
 	}
 
-	// Switch to an edge measure. The cache miss answers immediately —
-	// from the stale snapshot with pending=true, or already swapped if
-	// the background run won the race — and the swap lands async.
-	sw := getMeasureInfo(t, ts.URL+"/measure?name=ktruss")
-	if sw.Pending {
-		if sw.RequestedMeasure != "ktruss" {
-			t.Fatalf("pending switch echoes %q, want ktruss", sw.RequestedMeasure)
-		}
-	} else if sw.Measure != "ktruss" {
-		t.Fatalf("settled switch state %+v", sw)
+	// Unknown names are rejected, and the startup page is untouched.
+	if status, _ := fetch(t, ts.URL+"/terrain.png?measure=nonsense"); status != http.StatusBadRequest {
+		t.Fatalf("unknown measure status %d, want 400", status)
 	}
-	settled := waitSettled(t, ts)
-	if settled.Measure != "ktruss" || !settled.Edge || settled.SuperNodes < 1 {
-		t.Fatalf("post-switch measure state %+v", settled)
-	}
-	if img := get(t, ts.URL+"/treemap.png?size=128"); img.StatusCode != http.StatusOK {
-		t.Fatalf("treemap after switch status %d", img.StatusCode)
-	}
-
-	// Unknown names are rejected and leave the served state intact.
-	if resp := get(t, ts.URL+"/measure?name=nonsense"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad measure switch status %d, want 400", resp.StatusCode)
-	}
-	if info := waitSettled(t, ts); info.Measure != "ktruss" {
-		t.Fatalf("measure changed to %q by a rejected switch", info.Measure)
+	if _, page := fetch(t, ts.URL+"/"); !strings.Contains(string(page), "<option selected>kcore</option>") {
+		t.Fatal("the startup page no longer shows kcore")
 	}
 }
 
+// TestMeasureSwitchCarriesColorAcrossBases: started with -color degree
+// (vertex). A URL naming an edge measure drops the vertex coloring for
+// that request instead of failing, and a URL naming another vertex
+// measure keeps it, for the viewer and the batch API alike. An
+// explicit cross-basis color is still the client's error, and an
+// explicit empty color clears the coloring.
 func TestMeasureSwitchCarriesColorAcrossBases(t *testing.T) {
-	// Started with -color degree (vertex). A round trip through an edge
-	// measure — where the vertex coloring cannot apply — must neither
-	// fail nor forget the color preference: back on a vertex measure
-	// the degree coloring is restored (it would error if the basis
-	// check were wrong, and an explicit empty color= clears it).
 	ts := testServer(t, "kcore", "degree")
-	for _, q := range []string{"?name=ktruss", "?name=onion"} {
-		if resp := get(t, ts.URL+"/measure"+q); resp.StatusCode != http.StatusOK {
-			t.Fatalf("switch %s status %d", q, resp.StatusCode)
+	if status, _ := fetch(t, ts.URL+"/terrain.png?w=64&h=48&measure=ktruss"); status != http.StatusOK {
+		t.Fatalf("edge measure under a vertex startup color: status %d", status)
+	}
+	_, carried := fetch(t, ts.URL+"/terrain.png?w=64&h=48&measure=onion")
+	_, explicit := fetch(t, ts.URL+"/terrain.png?w=64&h=48&measure=onion&color=degree")
+	_, cleared := fetch(t, ts.URL+"/terrain.png?w=64&h=48&measure=onion&color=")
+	if !bytes.Equal(carried, explicit) || bytes.Equal(carried, cleared) {
+		t.Fatal("the startup degree coloring did not carry over to onion")
+	}
+	for measure, wantColor := range map[string]string{"ktruss": "", "onion": "degree"} {
+		resp, data := postQuery(t, ts.URL, `{"measure": "`+measure+`", "ops": [{"op": "spectrum"}]}`)
+		var out struct {
+			Snapshot struct {
+				Color string `json:"color"`
+			} `json:"snapshot"`
+		}
+		if err := json.Unmarshal(data, &out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch for %s: status %d, %v", measure, resp.StatusCode, err)
+		}
+		if out.Snapshot.Color != wantColor {
+			t.Fatalf("batch for %s colored by %q, want %q", measure, out.Snapshot.Color, wantColor)
 		}
 	}
-	// An explicit cross-basis color is still a client error.
-	if resp := get(t, ts.URL+"/measure?name=onion&color=ktruss"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("cross-basis explicit color status %d, want 400", resp.StatusCode)
+	if status, _ := fetch(t, ts.URL+"/terrain.png?measure=onion&color=ktruss"); status != http.StatusBadRequest {
+		t.Fatalf("cross-basis explicit color status %d, want 400", status)
 	}
-	// Explicitly clearing the color works.
-	if resp := get(t, ts.URL+"/measure?name=kcore&color="); resp.StatusCode != http.StatusOK {
-		t.Fatalf("clearing color status %d", resp.StatusCode)
+	if status, _ := fetch(t, ts.URL+"/terrain.png?w=64&h=48&measure=kcore&color="); status != http.StatusOK {
+		t.Fatalf("clearing color status %d", status)
 	}
 }
 
-func TestMeasureSwitchUnderConcurrentReads(t *testing.T) {
-	// Readers hammer the viewer while measures flip underneath; the
-	// RWMutex snapshotting must keep every response coherent (run with
-	// -race in CI).
-	ts := testServer(t, "kcore", "")
-	done := make(chan struct{})
-	go func() {
-		// http.Get directly: t.Fatal must not be called off the test
-		// goroutine.
-		defer close(done)
-		for i := 0; i < 6; i++ {
-			name := []string{"degree", "kcore", "onion"}[i%3]
-			if resp, err := http.Get(ts.URL + "/measure?name=" + name); err == nil {
-				resp.Body.Close()
-			}
-		}
-	}()
-	for i := 0; i < 12; i++ {
-		if resp := get(t, ts.URL+"/peaks?alpha=1"); resp.StatusCode != http.StatusOK {
-			t.Fatalf("peaks during switches: status %d", resp.StatusCode)
-		}
-	}
-	<-done
-}
-
-// TestAsyncMeasureSwitch is the async re-analysis satellite: a switch
-// to an uncached key answers immediately — from the stale snapshot
-// with pending=true and the requested selection echoed — and the
-// background analysis (exactly one, via the engine's singleflight, no
-// matter how many concurrent switches ask) swaps the selection when it
-// lands.
-func TestAsyncMeasureSwitch(t *testing.T) {
+// TestConcurrentKeyedMissesCoalesce: concurrent viewer requests for one
+// uncached key run exactly one analysis, through the engine's
+// singleflight.
+func TestConcurrentKeyedMissesCoalesce(t *testing.T) {
 	srv, err := newServer(serverConfig{dataset: "GrQc", scale: 0.03, seed: 42, measure: "kcore"})
 	if err != nil {
 		t.Fatal(err)
@@ -312,65 +313,75 @@ func TestAsyncMeasureSwitch(t *testing.T) {
 	startup := srv.engine.AnalysisCount()
 
 	var wg sync.WaitGroup
-	responses := make([]measureInfo, 8)
+	statuses := make([]int, 8)
 	errs := make([]error, 8)
-	for i := range responses {
+	for i := range statuses {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/measure?name=harmonic")
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			errs[i] = json.NewDecoder(resp.Body).Decode(&responses[i])
-		}(i)
+			statuses[i], _, errs[i] = fetchErr(ts.URL + "/treemap.png?size=64&measure=harmonic")
+		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
+	for i := range statuses {
+		if errs[i] != nil || statuses[i] != http.StatusOK {
+			t.Fatalf("request %d: status %d, %v", i, statuses[i], errs[i])
 		}
 	}
-	// Every response is coherent: either still serving the old snapshot
-	// with the new selection pending, or already swapped.
-	for i, info := range responses {
-		switch {
-		case info.Pending:
-			if info.Measure != "kcore" || info.RequestedMeasure != "harmonic" {
-				t.Fatalf("response %d pending but serves %q, requests %q", i, info.Measure, info.RequestedMeasure)
-			}
-		case info.Measure != "harmonic" && info.Measure != "kcore":
-			t.Fatalf("response %d serves %q", i, info.Measure)
-		}
-	}
-	if got := waitSettled(t, ts); got.Measure != "harmonic" {
-		t.Fatalf("settled on %q, want harmonic", got.Measure)
-	}
-	// The concurrent misses coalesced into one background run.
 	if ran := srv.engine.AnalysisCount() - startup; ran != 1 {
-		t.Fatalf("%d analyses for 8 concurrent switches, want 1", ran)
+		t.Fatalf("%d analyses for 8 concurrent requests, want 1", ran)
 	}
 }
 
-// TestPartialSwitchComposesWithPending pins the default-from-want
-// rule: a dataset-only switch issued while a measure switch is still
-// pending must keep that measure — defaults come from the latest
-// requested selection, not the stale served one, so the acknowledged
-// in-flight half is never silently reverted.
-func TestPartialSwitchComposesWithPending(t *testing.T) {
+// TestViewerBadKeysAre400: a viewer URL naming an unknown measure, an
+// unknown dataset, a color on the other basis or unparsable bins is
+// the client's error on every viewer endpoint.
+func TestViewerBadKeysAre400(t *testing.T) {
 	ts := testServer(t, "kcore", "")
-	if resp := get(t, ts.URL+"/measure?name=harmonic"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("measure switch status %d", resp.StatusCode)
+	for _, path := range []string{"/?", "/terrain.png?", "/treemap.png?", "/linked.png?x=0.5&y=0.5&", "/select?x=0.5&y=0.5&"} {
+		for _, key := range []string{"measure=nonsense", "dataset=NotATable1Name", "color=ktruss", "bins=many"} {
+			if status, body := fetch(t, ts.URL+path+key); status != http.StatusBadRequest {
+				t.Fatalf("%s%s: status %d, want 400: %s", path, key, status, body)
+			}
+		}
 	}
-	// Regardless of whether the harmonic analysis has landed yet, a
-	// dataset-only switch composes with it.
-	if resp := get(t, ts.URL+"/measure?dataset=PPI"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("dataset switch status %d", resp.StatusCode)
+}
+
+// TestViewerRenderParamsAreBounded: zoom is clamped to the page
+// slider's range and image sizes are capped, so no URL can make one
+// render arbitrarily expensive.
+func TestViewerRenderParamsAreBounded(t *testing.T) {
+	ts := testServer(t, "kcore", "")
+	pngSize := func(path string) (int, int) {
+		t.Helper()
+		status, body := fetch(t, ts.URL+path)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d", path, status)
+		}
+		cfg, err := png.DecodeConfig(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return cfg.Width, cfg.Height
 	}
-	if info := waitSettled(t, ts); info.Dataset != "PPI" || info.Measure != "harmonic" {
-		t.Fatalf("settled on (%s, %s), want (PPI, harmonic)", info.Dataset, info.Measure)
+	if w, h := pngSize("/terrain.png?zoom=1e9&w=1000000&h=1000000"); w != maxImageSide || h != maxImageSide {
+		t.Fatalf("terrain is %dx%d, want %dx%d", w, h, maxImageSide, maxImageSide)
+	}
+	for path, want := range map[string]int{
+		"/treemap.png?size=1000000":            maxPanel,
+		"/treemap.png?size=1":                  minPanel,
+		"/linked.png?x=0.5&y=0.5&size=1000000": maxPanel,
+	} {
+		if w, h := pngSize(path); w != want || h != want {
+			t.Fatalf("%s is %dx%d, want %d", path, w, h, want)
+		}
+	}
+	for zoom, clamped := range map[string]string{"1e9": "6", "NaN": "0.5", "-3": "0.5"} {
+		_, got := fetch(t, ts.URL+"/terrain.png?w=64&h=48&zoom="+zoom)
+		_, want := fetch(t, ts.URL+"/terrain.png?w=64&h=48&zoom="+clamped)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("zoom=%s did not render as zoom=%s", zoom, clamped)
+		}
 	}
 }
 
@@ -456,50 +467,54 @@ func TestBatchQueryEndpoint(t *testing.T) {
 	}
 }
 
-// TestDatasetSwitchOnDemand loads a second Table I dataset through the
-// engine's loader, then switches back to the registered one.
+// TestDatasetSwitchOnDemand: a viewer URL naming another Table I
+// dataset loads it through the engine's loader, keeping the startup
+// measure, while URLs without a dataset keep serving the startup one.
 func TestDatasetSwitchOnDemand(t *testing.T) {
-	ts := testServer(t, "kcore", "")
-	resp := get(t, ts.URL+"/measure?dataset=PPI")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("dataset switch status %d", resp.StatusCode)
+	srv, err := newServer(serverConfig{dataset: "GrQc", scale: 0.03, seed: 42, measure: "kcore"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	info := waitSettled(t, ts)
-	if info.Dataset != "PPI" || info.Measure != "kcore" {
-		t.Fatalf("post-switch state %+v", info)
+	ts := httptest.NewServer(srv.routes())
+	t.Cleanup(ts.Close)
+
+	status, page := fetch(t, ts.URL+"/?dataset=PPI")
+	if status != http.StatusOK {
+		t.Fatalf("dataset switch status %d", status)
+	}
+	if !strings.Contains(string(page), "<h1>PPI —") || !strings.Contains(string(page), "<option selected>kcore</option>") {
+		t.Fatal("/?dataset=PPI does not show PPI under the startup measure")
 	}
 	// The on-demand-loaded dataset is listed alongside the registered one.
 	listed := map[string]bool{}
-	for _, d := range info.Datasets {
+	for _, d := range srv.engine.Datasets() {
 		listed[d] = true
 	}
 	if !listed["PPI"] || !listed["GrQc"] {
-		t.Fatalf("datasets list %v missing PPI or GrQc", info.Datasets)
+		t.Fatalf("datasets list %v missing PPI or GrQc", srv.engine.Datasets())
 	}
-	// The viewer endpoints serve the new dataset's snapshot.
-	if img := get(t, ts.URL+"/treemap.png?size=128"); img.StatusCode != http.StatusOK {
-		t.Fatalf("treemap after dataset switch: %d", img.StatusCode)
+	if status, _ := fetch(t, ts.URL+"/treemap.png?size=128&dataset=PPI"); status != http.StatusOK {
+		t.Fatalf("treemap of the loaded dataset: %d", status)
 	}
-	// Unknown datasets are a client error — still synchronous, the
-	// dataset resolves before any background work starts — and leave
-	// the selection intact.
-	if resp := get(t, ts.URL+"/measure?dataset=NotATable1Name"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown dataset status %d, want 400", resp.StatusCode)
+	if status, _ := fetch(t, ts.URL+"/?dataset=NotATable1Name"); status != http.StatusBadRequest {
+		t.Fatalf("unknown dataset status %d, want 400", status)
 	}
-	if info := waitSettled(t, ts); info.Dataset != "PPI" {
-		t.Fatalf("selection changed to %q by a rejected switch", info.Dataset)
+	if _, page := fetch(t, ts.URL+"/"); !strings.Contains(string(page), "<h1>GrQc —") {
+		t.Fatal("the startup page no longer shows GrQc")
 	}
 }
 
-// TestBatchQueriesConsistentUnderMeasureSwitches is the concurrency
-// satellite: hammer the batch endpoint while /measure flips between a
-// vertex-based and an edge-based measure, and assert every response is
-// internally consistent — all fields from one snapshot. The invariant:
-// at a cut height below every level, the peak item counts sum to the
-// spectrum's total survivor count and the peak count equals B0 at the
-// lowest level. kcore (items = vertices) and ktruss (items = edges)
-// disagree on both, so a torn response mixing two snapshots fails.
-// Run with -race in CI.
+// TestBatchQueriesConsistentUnderMeasureSwitches hammers the batch
+// endpoint, alternating between the startup measure (kcore, by
+// omission) and an explicit edge measure (ktruss), while viewer
+// requests switch between the two, and asserts every response is for
+// the measure it asked for and internally consistent — all fields from
+// one snapshot. The invariant: at a cut
+// height below every level, the peak item counts sum to the spectrum's
+// total survivor count and the peak count equals B0 at the lowest
+// level. kcore (items = vertices) and ktruss (items = edges) disagree
+// on both, so a torn response mixing two snapshots fails. Run with
+// -race in CI.
 func TestBatchQueriesConsistentUnderMeasureSwitches(t *testing.T) {
 	ts := testServer(t, "kcore", "")
 
@@ -508,14 +523,16 @@ func TestBatchQueriesConsistentUnderMeasureSwitches(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 8; i++ {
 			name := []string{"ktruss", "kcore"}[i%2]
-			if resp, err := http.Get(ts.URL + "/measure?name=" + name); err == nil {
-				resp.Body.Close()
-			}
+			fetchErr(ts.URL + "/treemap.png?size=64&measure=" + name)
 		}
 	}()
 
-	body := `{"ops": [{"op": "spectrum"}, {"op": "peaks", "alpha": -1e18}]}`
+	ops := `"ops": [{"op": "spectrum"}, {"op": "peaks", "alpha": -1e18}]}`
 	for i := 0; i < 24; i++ {
+		body, want := `{`+ops, "kcore"
+		if i%2 == 1 {
+			body, want = `{"measure": "ktruss", `+ops, "ktruss"
+		}
 		resp, data := postQuery(t, ts.URL, body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch %d status %d: %s", i, resp.StatusCode, data)
@@ -524,10 +541,10 @@ func TestBatchQueriesConsistentUnderMeasureSwitches(t *testing.T) {
 		if err := json.Unmarshal(data, &out); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		if out.Snapshot.Measure != "kcore" && out.Snapshot.Measure != "ktruss" {
-			t.Fatalf("batch %d: unexpected measure %q", i, out.Snapshot.Measure)
+		if out.Snapshot.Measure != want || out.Snapshot.Dataset != "GrQc" {
+			t.Fatalf("batch %d: answered for (%s, %s), want (GrQc, %s)", i, out.Snapshot.Dataset, out.Snapshot.Measure, want)
 		}
-		if wantEdge := out.Snapshot.Measure == "ktruss"; out.Snapshot.Edge != wantEdge {
+		if wantEdge := want == "ktruss"; out.Snapshot.Edge != wantEdge {
 			t.Fatalf("batch %d: measure %q but edge=%v", i, out.Snapshot.Measure, out.Snapshot.Edge)
 		}
 		spec, peaks := out.Results[0], out.Results[1]
@@ -552,4 +569,95 @@ func TestBatchQueriesConsistentUnderMeasureSwitches(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestTwoViewersSeeOnlyTheirOwnKeys: two viewers share a server, each
+// switching between two keys of its own — A between GrQc kcore and
+// ktruss, B between PPI degree and pagerank — with their requests
+// interleaved. Every page, /select and PNG answer matches the one for
+// the key in the requester's own URL, and batch queries that omit the
+// dataset and measure, sent during the churn, are answered for the
+// startup key every time. Run with -race in CI.
+func TestTwoViewersSeeOnlyTheirOwnKeys(t *testing.T) {
+	viewers := [][]string{
+		{"dataset=GrQc&measure=kcore", "dataset=GrQc&measure=ktruss"},
+		{"dataset=PPI&measure=degree", "dataset=PPI&measure=pagerank"},
+	}
+	paths := []string{"/?", "/select?x=0.5&y=0.5&", "/terrain.png?w=96&h=72&",
+		"/treemap.png?size=96&", "/linked.png?x=0.5&y=0.5&size=96&"}
+
+	// The expected answers come from a second server asked one request
+	// at a time; each key's answer must differ from the others' so that
+	// an answer for the wrong key cannot pass.
+	ref := testServer(t, "kcore", "")
+	want := map[string][]byte{}
+	for _, p := range paths {
+		owner := map[string]string{}
+		for _, keys := range viewers {
+			for _, k := range keys {
+				status, body := fetch(t, ref.URL+p+k)
+				if status != http.StatusOK {
+					t.Fatalf("%s%s: status %d: %s", p, k, status, body)
+				}
+				if other, dup := owner[string(body)]; dup {
+					t.Fatalf("%s answers the same for %s and %s", p, other, k)
+				}
+				owner[string(body)] = k
+				want[p+k] = body
+			}
+		}
+	}
+
+	ts := testServer(t, "kcore", "")
+	errs := make(chan error, 2*4*len(paths))
+	var wg sync.WaitGroup
+	for _, keys := range viewers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				k := keys[round%2]
+				for _, p := range paths {
+					status, body, err := fetchErr(ts.URL + p + k)
+					switch {
+					case err != nil:
+						errs <- err
+					case status != http.StatusOK:
+						errs <- fmt.Errorf("%s%s: status %d", p, k, status)
+					case !bytes.Equal(body, want[p+k]):
+						errs <- fmt.Errorf("%s%s: answered for another key", p, k)
+					}
+				}
+			}
+		}()
+	}
+	viewersDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(viewersDone)
+	}()
+
+	for batches := 0; ; batches++ {
+		select {
+		case <-viewersDone:
+			if batches == 0 {
+				t.Fatal("no batch query ran during the churn")
+			}
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			return
+		default:
+		}
+		resp, data := postQuery(t, ts.URL, `{"ops": [{"op": "peaks", "alpha": 1}]}`)
+		var out batchResponse
+		if err := json.Unmarshal(data, &out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: status %d, %v", batches, resp.StatusCode, err)
+		}
+		if out.Snapshot.Dataset != "GrQc" || out.Snapshot.Measure != "kcore" {
+			t.Fatalf("batch %d without a key answered for (%s, %s), want the startup (GrQc, kcore)",
+				batches, out.Snapshot.Dataset, out.Snapshot.Measure)
+		}
+	}
 }

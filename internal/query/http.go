@@ -33,9 +33,9 @@ const DefaultRetryAfter = time.Second
 
 // Request is the body of POST /api/v1/query: an optional snapshot key
 // override plus the operation batch. Key fields left unset fall back
-// to the handler's defaults (the viewer's current selection in
-// cmd/serve). Color and Bins are pointers so an explicit empty color
-// or zero bins overrides a non-empty default.
+// to the handler's defaults (the startup key in cmd/serve). Color and
+// Bins are pointers so an explicit empty color or zero bins overrides
+// a non-empty default.
 type Request struct {
 	Dataset string  `json:"dataset,omitempty"`
 	Measure string  `json:"measure,omitempty"`
@@ -66,9 +66,10 @@ const DegradedStale = "stale"
 // concurrent use.
 type Handler struct {
 	Engine *Engine
-	// Defaults supplies the key fields a request leaves unset. Nil
-	// means requests must name at least dataset and measure.
-	Defaults func() Key
+	// Defaults supplies the key fields a request leaves unset (see
+	// Request.ResolveKey). The zero Key means requests must name at
+	// least dataset and measure.
+	Defaults Key
 	// Route, when set, is the shard router: given the fully resolved
 	// key it returns the base URL of the peer that owns it, or ok=false
 	// when this node owns the key (or no routing applies). Owned keys
@@ -138,6 +139,37 @@ const ForwardedHeader = "X-Scalarfield-Forwarded"
 // so the receiver can detect ring disagreement (see Handler.ViewEpoch).
 const ViewEpochHeader = "X-Scalarfield-View-Epoch"
 
+// ResolveKey returns the snapshot key the request names: each key
+// field the request sets wins, and each unset one is taken from
+// defaults. A color taken from defaults carries over only while it
+// shares the resolved measure's vertex/edge basis, so a request that
+// just switches kcore→ktruss does not fail on a vertex-based default
+// coloring (and switching back restores it). An explicit Color is kept
+// as given: a basis mismatch there is the client's own mistake, and
+// ValidateKey reports it.
+func (req *Request) ResolveKey(defaults Key) Key {
+	key := defaults
+	if req.Dataset != "" {
+		key.Dataset = req.Dataset
+	}
+	if req.Measure != "" {
+		key.Measure = req.Measure
+	}
+	if req.Color != nil {
+		key.Color = *req.Color
+	} else if key.Color != "" {
+		mInfo, mok := scalarfield.LookupMeasure(key.Measure)
+		cInfo, cok := scalarfield.LookupMeasure(key.Color)
+		if !mok || !cok || mInfo.Edge != cInfo.Edge {
+			key.Color = ""
+		}
+	}
+	if req.Bins != nil {
+		key.Bins = *req.Bins
+	}
+	return key
+}
+
 // ServeHTTP answers one batch: resolve the snapshot key, get-or-build
 // the snapshot (coalesced with every concurrent request for the same
 // key, bounded by the incoming request's context), and answer all
@@ -162,34 +194,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var key Key
-	if h.Defaults != nil {
-		key = h.Defaults()
-	}
-	if req.Dataset != "" {
-		key.Dataset = req.Dataset
-	}
-	if req.Measure != "" {
-		key.Measure = req.Measure
-	}
-	if req.Color != nil {
-		key.Color = *req.Color
-	} else if key.Color != "" {
-		// The color came from the defaults, not the request. Like the
-		// viewer's sticky color preference, it carries over only while
-		// it shares the requested measure's basis — a request that
-		// just switches kcore→ktruss must not fail on the viewer's
-		// vertex-based coloring. An explicit req.Color still fails
-		// loudly above: that mismatch is the client's own.
-		mInfo, mok := scalarfield.LookupMeasure(key.Measure)
-		cInfo, cok := scalarfield.LookupMeasure(key.Color)
-		if !mok || !cok || mInfo.Edge != cInfo.Edge {
-			key.Color = ""
-		}
-	}
-	if req.Bins != nil {
-		key.Bins = *req.Bins
-	}
+	key := req.ResolveKey(h.Defaults)
 
 	if h.ViewEpoch != nil && r.Header.Get(ForwardedHeader) != "" {
 		if remoteStr := r.Header.Get(ViewEpochHeader); remoteStr != "" {
@@ -217,7 +222,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	snap, degraded, err := h.resolveSnapshot(r.Context(), key)
 	if err != nil {
-		h.writeSnapshotError(w, err)
+		h.WriteSnapshotError(w, err)
 		return
 	}
 	// The request's reference on the snapshot (a disk store in mmap
@@ -248,11 +253,12 @@ func (h *Handler) resolveSnapshot(ctx context.Context, key Key) (snap *Snapshot,
 	return nil, "", err
 }
 
-// writeSnapshotError maps a get-or-build failure to a status: client
+// WriteSnapshotError maps a get-or-build failure to a status: client
 // mistakes are 400s; overload sheds and context expiry are 503s with
 // a Retry-After hint (the condition is transient by construction);
-// genuine pipeline failures stay 500s.
-func (h *Handler) writeSnapshotError(w http.ResponseWriter, err error) {
+// genuine pipeline failures stay 500s. Other endpoints that resolve
+// snapshots (cmd/serve's viewer) answer their errors through it too.
+func (h *Handler) WriteSnapshotError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	var ce *ClientError
 	switch {

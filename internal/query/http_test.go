@@ -78,7 +78,7 @@ func TestBatchDefaultsAndOverrides(t *testing.T) {
 	e := testEngine(t, Options{})
 	ts := httptest.NewServer(&Handler{
 		Engine:   e,
-		Defaults: func() Key { return Key{Dataset: "tiny", Measure: "degree", Color: "kcore"} },
+		Defaults: Key{Dataset: "tiny", Measure: "degree", Color: "kcore"},
 	})
 	defer ts.Close()
 
@@ -135,7 +135,7 @@ func TestBatchMeasureOverrideDropsCrossBasisDefaultColor(t *testing.T) {
 	e := testEngine(t, Options{})
 	ts := httptest.NewServer(&Handler{
 		Engine:   e,
-		Defaults: func() Key { return Key{Dataset: "tiny", Measure: "kcore", Color: "degree"} },
+		Defaults: Key{Dataset: "tiny", Measure: "kcore", Color: "degree"},
 	})
 	defer ts.Close()
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	scalarfield "repro"
@@ -290,24 +291,31 @@ func TestDiskStoreCorruptFileIsAMiss(t *testing.T) {
 }
 
 // blockingMeasure is registered once for the invalidation-race test:
-// it parks inside the analysis until the test releases the gate, and
-// reports when an analysis has entered the measure.
+// it parks inside the analysis until the current run's gate closes, and
+// reports on that run's entered channel when an analysis is inside the
+// measure. Each run installs a fresh blockRun, so the test can run any
+// number of times in one process (-count=N).
+type blockRun struct {
+	gate    chan struct{}
+	entered chan struct{}
+}
+
 var (
-	blockGate    = make(chan struct{})
-	blockEntered = make(chan struct{}, 8)
+	blockCurrent atomic.Pointer[blockRun]
 	blockOnce    sync.Once
 )
 
-func registerBlockingMeasure() {
+func registerBlockingMeasure() *blockRun {
 	blockOnce.Do(func() {
 		scalarfield.RegisterMeasure("test-blocking", false,
 			"test-only: blocks until the race test releases it",
 			func(g *scalarfield.Graph) []float64 {
+				run := blockCurrent.Load()
 				select {
-				case blockEntered <- struct{}{}:
+				case run.entered <- struct{}{}:
 				default:
 				}
-				<-blockGate
+				<-run.gate
 				vals := make([]float64, g.NumVertices())
 				for v := range vals {
 					vals[v] = float64(g.Degree(int32(v)))
@@ -315,6 +323,9 @@ func registerBlockingMeasure() {
 				return vals
 			})
 	})
+	run := &blockRun{gate: make(chan struct{}), entered: make(chan struct{}, 8)}
+	blockCurrent.Store(run)
+	return run
 }
 
 // TestInvalidateRacingInFlightAnalysis is the satellite regression: an
@@ -322,7 +333,7 @@ func registerBlockingMeasure() {
 // the completing flight from re-inserting its (now stale) snapshot.
 // Run under -race in CI.
 func TestInvalidateRacingInFlightAnalysis(t *testing.T) {
-	registerBlockingMeasure()
+	run := registerBlockingMeasure()
 	e := testEngine(t, Options{})
 	key := Key{Dataset: "tiny", Measure: "test-blocking"}
 
@@ -336,9 +347,9 @@ func TestInvalidateRacingInFlightAnalysis(t *testing.T) {
 		done <- result{snap, err}
 	}()
 
-	<-blockEntered       // the analysis is inside the measure now
+	<-run.entered        // the analysis is inside the measure now
 	e.Invalidate("tiny") // race: invalidation lands mid-flight
-	close(blockGate)     // let the analysis complete
+	close(run.gate)      // let the analysis complete
 	r := <-done
 	if r.err != nil {
 		t.Fatal(r.err)

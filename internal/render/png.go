@@ -63,9 +63,10 @@ func (o *Options) fill() {
 
 // TerrainPNG renders the heightmap as an isometric 3D terrain.
 // nodeColor[s] colors cells owned by super node s; cells outside all
-// boundaries use a neutral ground color. Cells are drawn back to front
-// (painter's algorithm), each as a vertical column from the base plane
-// to its height, with simple height- and slope-based shading.
+// boundaries use a neutral ground color. Each cell is a vertical
+// column from the base plane to its height, with simple height- and
+// slope-based shading; columns are ordered by depth and nearer ones
+// hide farther ones.
 func TerrainPNG(hm *terrain.Heightmap, nodeColor []color.RGBA, opts Options) *image.RGBA {
 	opts.fill()
 	img := image.NewRGBA(image.Rect(0, 0, opts.Width, opts.Height))
@@ -106,7 +107,7 @@ func TerrainPNG(hm *terrain.Heightmap, nodeColor []color.RGBA, opts Options) *im
 		colW = 1
 	}
 
-	// Painter order: sort rows by projected depth. With a rotated
+	// Depth order: sort cells by projected depth. With a rotated
 	// camera the back-to-front order over cells follows increasing
 	// rx*sin + ry*cos... iterating the grid in the order of
 	// increasing projected screen y of the base plane is sufficient
@@ -126,7 +127,18 @@ func TerrainPNG(hm *terrain.Heightmap, nodeColor []color.RGBA, opts Options) *im
 	}
 	sort.Slice(cells, func(i, j int) bool { return cells[i].depth < cells[j].depth })
 
-	for _, c := range cells {
+	// Draw front to back: per screen column, horizon holds the highest
+	// pixel row a nearer terrain column already covers. A nearer column
+	// has its base at or below every farther one's, so the covered part
+	// of a farther column is always its span from the horizon down, and
+	// only the rows above the horizon remain visible. Each pixel is
+	// written once, with the same result as painting back to front.
+	horizon := make([]int, opts.Width)
+	for x := range horizon {
+		horizon[x] = opts.Height
+	}
+	for i := len(cells) - 1; i >= 0; i-- {
+		c := cells[i]
 		gx, gy := (float64(c.x)+0.5)*stepX, (float64(c.y)+0.5)*stepY
 		ht := hm.At(c.x, c.y)
 		topX, topY := project(gx, gy, ht)
@@ -147,32 +159,28 @@ func TerrainPNG(hm *terrain.Heightmap, nodeColor []color.RGBA, opts Options) *im
 		top := scale(col, shade)
 
 		x0 := int(topX) - colW/2
-		drawColumn(img, x0, colW, int(topY), int(baseY), top, side)
+		drawColumn(img, horizon, x0, colW, int(topY), int(baseY), top, side)
 	}
 	return img
 }
 
-// drawColumn draws one terrain column: a 2px top cap in the top color
-// and the shaft in the side color.
-func drawColumn(img *image.RGBA, x0, w, yTop, yBase int, top, side color.RGBA) {
-	b := img.Bounds()
+// drawColumn draws the visible part of one terrain column — inside the
+// image and above each screen column's horizon — as a 2px top cap in
+// the top color and the shaft in the side color, then raises the
+// horizon to the column's top.
+func drawColumn(img *image.RGBA, horizon []int, x0, w, yTop, yBase int, top, side color.RGBA) {
 	if yBase < yTop {
 		yTop, yBase = yBase, yTop
 	}
-	for x := x0; x < x0+w; x++ {
-		if x < b.Min.X || x >= b.Max.X {
-			continue
-		}
-		for y := yTop; y <= yBase; y++ {
-			if y < b.Min.Y || y >= b.Max.Y {
-				continue
-			}
+	for x := max(x0, 0); x < min(x0+w, len(horizon)); x++ {
+		for y := max(yTop, 0); y <= min(yBase, horizon[x]-1); y++ {
 			if y-yTop < 2 {
 				img.SetRGBA(x, y, top)
 			} else {
 				img.SetRGBA(x, y, side)
 			}
 		}
+		horizon[x] = min(horizon[x], yTop)
 	}
 }
 

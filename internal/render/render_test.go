@@ -2,8 +2,11 @@ package render
 
 import (
 	"bytes"
+	"image"
 	"image/color"
 	"image/png"
+	"math/rand/v2"
+	"sort"
 	"strings"
 	"testing"
 
@@ -74,6 +77,56 @@ func TestTerrainPNGZoom(t *testing.T) {
 	b := TerrainPNG(hm, nodeColors(st), Options{Width: 200, Height: 160, Zoom: 2})
 	if bytes.Equal(a.Pix, b.Pix) {
 		t.Error("zooming produced an identical image")
+	}
+}
+
+// TestDrawColumnFrontToBackMatchesPainter pins the horizon rule the
+// terrain renderer relies on: drawing columns front to back, each only
+// above its screen columns' horizons, leaves the same pixels as
+// painting every column back to front in full.
+func TestDrawColumnFrontToBackMatchesPainter(t *testing.T) {
+	const w, h = 97, 83
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 50; trial++ {
+		type column struct{ x0, w, top, base int }
+		cols := make([]column, 400)
+		for i := range cols {
+			base := rng.IntN(h+40) - 20
+			cols[i] = column{rng.IntN(w+20) - 10, 1 + rng.IntN(8), base - rng.IntN(h), base}
+		}
+		// Back to front is increasing base row, ties in any order.
+		sort.Slice(cols, func(i, j int) bool { return cols[i].base < cols[j].base })
+		colorOf := func(i int) (color.RGBA, color.RGBA) {
+			return color.RGBA{uint8(i), uint8(i >> 8), 1, 255}, color.RGBA{uint8(i), uint8(i >> 8), 2, 255}
+		}
+
+		painter := image.NewRGBA(image.Rect(0, 0, w, h))
+		for i, c := range cols {
+			top, side := colorOf(i)
+			for x := max(c.x0, 0); x < min(c.x0+c.w, w); x++ {
+				for y := max(c.top, 0); y <= min(c.base, h-1); y++ {
+					if y-c.top < 2 {
+						painter.SetRGBA(x, y, top)
+					} else {
+						painter.SetRGBA(x, y, side)
+					}
+				}
+			}
+		}
+
+		got := image.NewRGBA(image.Rect(0, 0, w, h))
+		horizon := make([]int, w)
+		for x := range horizon {
+			horizon[x] = h
+		}
+		for i := len(cols) - 1; i >= 0; i-- {
+			c := cols[i]
+			top, side := colorOf(i)
+			drawColumn(got, horizon, c.x0, c.w, c.top, c.base, top, side)
+		}
+		if !bytes.Equal(painter.Pix, got.Pix) {
+			t.Fatalf("trial %d: front-to-back drawing differs from the painter's result", trial)
+		}
 	}
 }
 
