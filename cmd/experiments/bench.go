@@ -354,15 +354,22 @@ func runBench(cfg config) error {
 		fmt.Printf("%-32s %14.0f %12.1f %14.0f\n", r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
 	}
 
+	// The machine fields sit beside gomaxprocs so a parallel row can be
+	// read against the cores that actually ran it.
 	out := struct {
-		Dataset  string        `json:"dataset"`
-		Scale    float64       `json:"scale"`
-		Vertices int           `json:"vertices"`
-		Edges    int           `json:"edges"`
-		Iters    int           `json:"iters"`
-		MaxProcs int           `json:"gomaxprocs"`
-		Results  []benchResult `json:"results"`
-	}{"GrQc", cfg.scale, g.NumVertices(), g.NumEdges(), *benchIters, runtime.GOMAXPROCS(0), results}
+		Dataset   string        `json:"dataset"`
+		Scale     float64       `json:"scale"`
+		Vertices  int           `json:"vertices"`
+		Edges     int           `json:"edges"`
+		Iters     int           `json:"iters"`
+		MaxProcs  int           `json:"gomaxprocs"`
+		NumCPU    int           `json:"num_cpu"`
+		GOOS      string        `json:"goos"`
+		GOARCH    string        `json:"goarch"`
+		GoVersion string        `json:"go_version"`
+		Results   []benchResult `json:"results"`
+	}{"GrQc", cfg.scale, g.NumVertices(), g.NumEdges(), *benchIters,
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), runtime.GOOS, runtime.GOARCH, runtime.Version(), results}
 
 	path := *benchOut
 	if !filepath.IsAbs(path) {

@@ -22,9 +22,9 @@ import (
 	"time"
 
 	scalarfield "repro"
+	"repro/internal/fleet"
 	"repro/internal/query"
 	"repro/internal/resilience"
-	"repro/internal/shard"
 )
 
 // chaosSeed pins the whole fault schedule: every run of this test
@@ -94,12 +94,10 @@ func TestChaosFleetSurvivesFaultsAndNodeDeath(t *testing.T) {
 	tsRef := httptest.NewServer(srvRef.routes())
 	defer tsRef.Close()
 
-	ring := shard.New([]string{"a", "b"}, 0)
-	peerURLs := map[string]string{"a": tsA.URL, "b": tsB.URL}
-	srvA.setShard("a", ring, peerURLs)
-	srvB.setShard("b", ring, peerURLs)
-	stopProbes := srvA.startHealthProbes(resilience.ProbeOptions{Interval: 100 * time.Millisecond})
-	defer stopProbes()
+	seeds := []fleet.Member{{ID: "a", URL: tsA.URL}, {ID: "b", URL: tsB.URL}}
+	probeOpts := resilience.ProbeOptions{Interval: 100 * time.Millisecond}
+	joinFleet(t, srvA, seeds[0], seeds, probeOpts)
+	joinFleet(t, srvB, seeds[1], seeds, probeOpts)
 
 	// A dedicated client for the test's own requests, so its idle
 	// connections can be torn down before the goroutine-leak check.
@@ -169,8 +167,9 @@ func TestChaosFleetSurvivesFaultsAndNodeDeath(t *testing.T) {
 		if rep == 0 {
 			// Kill node b mid-run: node a must keep answering correctly
 			// through refused forwards, an opening breaker, and local
-			// fallbacks.
+			// fallbacks. A dead process runs no probes either.
 			bDead = true
+			srvB.fleetRuntime().stop()
 			tsB.Close()
 		}
 	}
@@ -191,7 +190,7 @@ func TestChaosFleetSurvivesFaultsAndNodeDeath(t *testing.T) {
 	// Teardown everything, then require the goroutine count to settle
 	// back near the baseline: probe loops, detached analyses, and relay
 	// paths must all have exited.
-	stopProbes()
+	srvA.fleetRuntime().stop()
 	tsA.Close()
 	tsB.Close()
 	tsRef.Close()
@@ -211,14 +210,13 @@ func TestChaosFleetSurvivesFaultsAndNodeDeath(t *testing.T) {
 	}
 }
 
-// TestHealthzReportsShardIdentity: the probe endpoint answers 200 with
-// this node's shard name — the contract the active health probes and
-// operators rely on.
+// TestHealthzReportsShardIdentity: the liveness endpoint answers 200
+// with this node's shard name — the contract operators rely on.
 func TestHealthzReportsShardIdentity(t *testing.T) {
 	counter := newAnalysisCounter()
 	srv, ts := fleetNode(t, counter)
-	srv.setShard("a", shard.New([]string{"a", "b"}, 0),
-		map[string]string{"a": ts.URL, "b": "http://127.0.0.1:1"})
+	self := fleet.Member{ID: "a", URL: ts.URL}
+	joinFleet(t, srv, self, []fleet.Member{self, {ID: "b", URL: "http://127.0.0.1:1"}}, fleetProbeOpts)
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

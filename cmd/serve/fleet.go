@@ -53,10 +53,20 @@ type fleetConfig struct {
 	suspicionThreshold int
 }
 
-// fleetRuntime owns the I/O around a fleet.Manager for one server.
+// fleetRuntime owns the I/O around a fleet.Manager for one server,
+// and the placement derived from its view.
 type fleetRuntime struct {
 	s       *server
 	manager *fleet.Manager
+	// self is this node's member ID.
+	self string
+
+	// mu guards the placement: the consistent-hash ring over the
+	// view's live members and every member's base URL. applyView is
+	// their only writer.
+	mu       sync.RWMutex
+	ring     *shard.Ring
+	peerURLs map[string]string
 
 	probeOpts resilience.ProbeOptions
 
@@ -67,7 +77,7 @@ type fleetRuntime struct {
 
 	// applyMu serializes view application end to end. OnChange
 	// callbacks may arrive concurrently and out of order; the epoch
-	// guard under this mutex ensures the server's ring only ever moves
+	// guard under this mutex ensures the ring only ever moves
 	// forward, and holding it across the ring swap keeps a stale
 	// callback from installing an older ring over a newer one.
 	applyMu      sync.Mutex
@@ -115,13 +125,14 @@ const (
 	invalidatePath  = "/api/v1/invalidate"
 )
 
-// startFleet switches the server to dynamic membership: a manager
-// seeded from cfg, gossip probes of every known peer, and — for a
-// joiner — a background join loop against the seeds. Call once,
-// before serving traffic.
+// startFleet joins the server to a fleet: a membership manager seeded
+// from cfg, gossip probes of every known peer, and — for a joiner — a
+// background join loop against the seeds. Call once, before serving
+// traffic.
 func (s *server) startFleet(cfg fleetConfig) error {
 	rt := &fleetRuntime{
 		s:         s,
+		self:      cfg.self.ID,
 		probeOpts: cfg.probeOpts,
 		probes:    make(map[string]*peerProbe),
 	}
@@ -137,11 +148,8 @@ func (s *server) startFleet(cfg fleetConfig) error {
 		return err
 	}
 	rt.manager = mgr
-	s.mu.Lock()
-	s.shardSelf = cfg.self.ID
-	s.fleet = rt
-	s.mu.Unlock()
 	s.peerStore.Self = cfg.self.ID
+	s.fleet.Store(rt)
 	rt.applyView(mgr.View())
 	if _, founding := mgr.View().Find(cfg.self.ID); !founding {
 		// Unreachable — a joiner's bootstrap view contains self — but
@@ -160,30 +168,39 @@ func (s *server) startFleet(cfg fleetConfig) error {
 	return nil
 }
 
-// fleetRuntime returns the dynamic-membership runtime, nil when
-// membership is static or the node is unsharded.
+// fleetRuntime returns the membership runtime, nil when the node is
+// unsharded.
 func (s *server) fleetRuntime() *fleetRuntime {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.fleet
+	return s.fleet.Load()
+}
+
+// owner resolves a key on the ring: the owning member's ID and base
+// URL ("" and "" while the ring is empty).
+func (rt *fleetRuntime) owner(k query.Key) (id, url string) {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	if rt.ring == nil {
+		return "", ""
+	}
+	id = rt.ring.Owner(k.ShardString())
+	return id, rt.peerURLs[id]
 }
 
 // ringOwnerID is the PeerStore Owner hook: the ring owner's member ID
 // for a key ("" when unsharded).
 func (s *server) ringOwnerID(k query.Key) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.ring == nil {
+	rt := s.fleetRuntime()
+	if rt == nil {
 		return ""
 	}
-	return s.ring.Owner(k.ShardString())
+	id, _ := rt.owner(k)
+	return id
 }
 
 // peerFetchCandidates is the PeerStore Peers hook: every current
 // member's base URL (Leaving included — a drainer still answers
-// fetches while its keys move). Nil without dynamic membership, which
-// disables peer backfill entirely: static fleets keep the pre-fleet
-// behavior where forwarding alone shares work.
+// fetches while its keys move). Nil on an unsharded node, which
+// disables peer backfill entirely.
 func (s *server) peerFetchCandidates() map[string]string {
 	rt := s.fleetRuntime()
 	if rt == nil {
@@ -209,12 +226,10 @@ func (rt *fleetRuntime) applyView(v fleet.View) {
 		ring = shard.New(members, 0)
 	}
 	urls := v.URLs()
-	s := rt.s
-	s.mu.Lock()
-	oldRing := s.ring
-	s.ring = ring
-	s.peerURLs = urls
-	s.mu.Unlock()
+	rt.mu.Lock()
+	oldRing := rt.ring
+	rt.ring, rt.peerURLs = ring, urls
+	rt.mu.Unlock()
 	log.Printf("fleet: applied view %v", v)
 
 	rt.reconcileProbes(v)
@@ -232,7 +247,7 @@ func (rt *fleetRuntime) reconcileProbes(v fleet.View) {
 	if rt.ctx.Err() != nil {
 		return
 	}
-	self := rt.manager.Self().ID
+	self := rt.self
 	want := make(map[string]string, len(v.Members))
 	for _, m := range v.Members {
 		if m.ID != self {
@@ -362,7 +377,7 @@ func (rt *fleetRuntime) scheduleHandoff(oldRing, newRing *shard.Ring, urls map[s
 	if oldRing == nil || newRing == nil {
 		return
 	}
-	self := rt.manager.Self().ID
+	self := rt.self
 	type move struct {
 		key query.Key
 		url string
@@ -528,7 +543,7 @@ func (s *server) drain(ctx context.Context) {
 // — the drain announcement, so peers stop routing to us within one
 // round trip instead of one probe interval. Best-effort.
 func (rt *fleetRuntime) broadcastView(ctx context.Context, v fleet.View) {
-	self := rt.manager.Self().ID
+	self := rt.self
 	body := fleet.EncodeView(v)
 	for _, m := range v.Members {
 		if m.ID == self {

@@ -64,7 +64,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -73,10 +72,8 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/fleet"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/query"
 	"repro/internal/resilience"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -94,8 +91,6 @@ func main() {
 			"persist snapshots to this directory (served across restarts); empty = in-memory LRU")
 		mmapGraphs = flag.Bool("mmap-graphs", false,
 			"serve disk-store cold hits with the graph section mmap'd in place instead of copied to the heap (requires -store-dir)")
-		partitionBytes = flag.Int("partition-bytes", 0,
-			"cache-locality budget per analysis partition in bytes of CSR data (0 = no partitioning); outputs are bitwise identical for any value")
 		shardID = flag.String("shard-id", "",
 			"this node's name in a shard fleet; requires -peers")
 		peers = flag.String("peers", "",
@@ -117,10 +112,9 @@ func main() {
 		breakerCooldown = flag.Duration("breaker-cooldown", 2*time.Second,
 			"base cooldown of an open peer breaker before a half-open probe (doubles per repeated trip)")
 		probeInterval = flag.Duration("probe-interval", 5*time.Second,
-			"active /healthz probe period per peer (backs off exponentially while a peer is down)")
+			"membership-gossip probe period per peer (backs off exponentially while a peer is down)")
 	)
 	flag.Parse()
-	par.SetPartitionBytes(*partitionBytes)
 	srv, err := newServer(serverConfig{
 		input: *input, dataset: *dataset, scale: *scale, seed: *seed,
 		measure: *measure, colorBy: *colorBy, bins: *bins, storeDir: *storeDir,
@@ -231,19 +225,12 @@ type server struct {
 	// fixed before traffic; viewer URLs merge over it too.
 	api *query.Handler
 
-	// Shard-fleet state (nil/"" when not sharded), guarded by mu: the
-	// ring decides each batch-query key's owner, and non-owned keys are
-	// forwarded to peerURLs[owner]. Only the batch API routes; the
-	// viewer endpoints always serve locally. With dynamic membership
-	// (startFleet) the ring and peerURLs are rebuilt on every adopted
-	// view change; with setShard (tests, static fleets) they are fixed.
-	mu        sync.RWMutex
-	shardSelf string
-	ring      *shard.Ring
-	peerURLs  map[string]string
-	// fleet is the dynamic-membership runtime (nil when static or
-	// unsharded); assigned once by startFleet before traffic.
-	fleet *fleetRuntime
+	// fleet is the membership runtime (nil when unsharded), stored
+	// once by startFleet before traffic. Its ring decides each
+	// batch-query key's owner, and non-owned keys are forwarded to the
+	// owner's URL. Only the batch API routes; the viewer endpoints
+	// always serve locally.
+	fleet atomic.Pointer[fleetRuntime]
 
 	// draining flips when a graceful drain begins: /readyz answers 503
 	// so probes and load balancers steer new work away, while /healthz
@@ -325,28 +312,18 @@ type serverConfig struct {
 	onEpochMismatch func(remote, local uint64)
 }
 
-// setShard joins the server to a shard fleet: self's name, the
-// consistent-hash ring over all member names, and each member's base
-// URL. Call before serving traffic (main does; tests do too).
-func (s *server) setShard(self string, ring *shard.Ring, peerURLs map[string]string) {
-	s.mu.Lock()
-	s.shardSelf, s.ring, s.peerURLs = self, ring, peerURLs
-	s.mu.Unlock()
-}
-
 // route is the query.Handler Route hook: resolve the key's owner on
 // the ring; forward when it is another member.
 func (s *server) route(k query.Key) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.ring == nil {
+	rt := s.fleetRuntime()
+	if rt == nil {
 		return "", false
 	}
-	owner := s.ring.Owner(k.ShardString())
-	if owner == s.shardSelf {
+	owner, url := rt.owner(k)
+	if owner == "" || owner == rt.self {
 		return "", false
 	}
-	return s.peerURLs[owner], true
+	return url, true
 }
 
 func newServer(cfg serverConfig) (*server, error) {
@@ -521,7 +498,7 @@ func (s *server) handleSnapshotPush(key query.Key) {
 }
 
 // viewEpoch reports the membership view epoch stamped onto forwarded
-// requests; 0 (matching every static fleet) when membership is static.
+// requests; 0 on an unsharded node.
 func (s *server) viewEpoch() uint64 {
 	if rt := s.fleetRuntime(); rt != nil {
 		return rt.manager.Epoch()
@@ -560,48 +537,15 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // purposes; admission control sheds load, the breaker layer handles
 // nodes that stop answering at all.
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	self := s.shardSelf
-	s.mu.RUnlock()
+	self := ""
+	if rt := s.fleetRuntime(); rt != nil {
+		self = rt.self
+	}
 	writeJSON(w, struct {
 		Status string                             `json:"status"`
 		Shard  string                             `json:"shard,omitempty"`
 		Peers  map[string]resilience.BreakerState `json:"peers,omitempty"`
 	}{Status: "ok", Shard: self, Peers: s.breakers.States()})
-}
-
-// startHealthProbes launches one active probe loop per static fleet
-// peer (excluding self), each reporting into the same per-peer breaker
-// the forwarding path uses: a down peer is discovered within a probe
-// interval even with no traffic, and — more importantly — a recovered
-// peer is rediscovered without burning a live request on the half-open
-// probe. Probes target /readyz, not /healthz: a draining peer is alive
-// but must stop receiving forwards, and readiness is exactly that
-// signal. Returns a stop function that halts the loops and waits for
-// them to exit. Call after setShard. (Dynamic fleets instead run
-// membership-gossip probes — see fleetRuntime.reconcileProbes.)
-func (s *server) startHealthProbes(opts resilience.ProbeOptions) (stop func()) {
-	s.mu.RLock()
-	self, peerURLs := s.shardSelf, s.peerURLs
-	s.mu.RUnlock()
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for id, base := range peerURLs {
-		if id == self {
-			continue
-		}
-		b := s.breakers.For(base)
-		probe := resilience.HTTPProbe(s.probeClient, base+"/readyz")
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resilience.ProbeLoop(ctx, b, probe, opts)
-		}()
-	}
-	return func() {
-		cancel()
-		wg.Wait()
-	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

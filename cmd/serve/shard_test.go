@@ -15,10 +15,12 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	scalarfield "repro"
+	"repro/internal/fleet"
 	"repro/internal/query"
-	"repro/internal/shard"
+	"repro/internal/resilience"
 )
 
 // analysisCounter counts analyses per key, for exactly-once assertions.
@@ -67,6 +69,17 @@ func fleetNode(t *testing.T, counter *analysisCounter) (*server, *httptest.Serve
 	return srv, ts
 }
 
+// joinFleet starts srv's fleet membership through startFleet — the
+// call main makes for -shard-id/-peers — and stops the runtime when
+// the test ends.
+func joinFleet(t *testing.T, srv *server, self fleet.Member, seeds []fleet.Member, opts resilience.ProbeOptions) {
+	t.Helper()
+	if err := srv.startFleet(fleetConfig{self: self, seeds: seeds, probeOpts: opts}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.fleetRuntime().stop)
+}
+
 func postQueryRaw(t *testing.T, url, body string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Post(url+"/api/v1/query", "application/json", bytes.NewReader([]byte(body)))
@@ -107,10 +120,9 @@ func TestShardFleetMatchesSingleNode(t *testing.T) {
 	srvB, tsB := fleetNode(t, countB)
 	_, tsS := fleetNode(t, countS)
 
-	ring := shard.New([]string{"a", "b"}, 0)
-	peerURLs := map[string]string{"a": tsA.URL, "b": tsB.URL}
-	srvA.setShard("a", ring, peerURLs)
-	srvB.setShard("b", ring, peerURLs)
+	seeds := []fleet.Member{{ID: "a", URL: tsA.URL}, {ID: "b", URL: tsB.URL}}
+	joinFleet(t, srvA, seeds[0], seeds, fleetProbeOpts)
+	joinFleet(t, srvB, seeds[1], seeds, fleetProbeOpts)
 
 	// Each node analyzed the startup selection locally before joining
 	// the ring; those analyses are construction cost, not query cost.
@@ -119,7 +131,7 @@ func TestShardFleetMatchesSingleNode(t *testing.T) {
 	owners := map[string]int{}
 	for _, measure := range scalarfield.Measures() {
 		key := query.Key{Dataset: "GrQc", Measure: measure}
-		owners[ring.Owner(key.ShardString())]++
+		owners[srvA.ringOwnerID(key)]++
 		body := queryBody(measure)
 
 		// Hit both fleet nodes concurrently while the key is uncached:
@@ -175,10 +187,20 @@ func TestShardFleetMatchesSingleNode(t *testing.T) {
 func TestShardForwardingLoopProtection(t *testing.T) {
 	counter := newAnalysisCounter()
 	srv, ts := fleetNode(t, counter)
-	// Misconfigure the node to believe an unreachable peer owns
-	// everything.
-	srv.setShard("self", shard.New([]string{"ghost"}, 0),
-		map[string]string{"ghost": "http://127.0.0.1:1"})
+	// Found a fleet with an unreachable ghost member, whose ID the ring
+	// hashes both keys sent below to. The probe interval outlasts the
+	// test, so no probe ever evicts the ghost.
+	const ghost, ghostURL = "ghost1", "http://127.0.0.1:1"
+	self := fleet.Member{ID: "self", URL: ts.URL}
+	joinFleet(t, srv, self, []fleet.Member{self, {ID: ghost, URL: ghostURL}},
+		resilience.ProbeOptions{Interval: time.Hour})
+	for _, measure := range []string{"degree", "triangles"} {
+		key := query.Key{Dataset: "GrQc", Measure: measure}
+		if owner, url := srv.fleetRuntime().owner(key); owner != ghost || url != ghostURL {
+			t.Fatalf("ring names %q (%s) as owner of %v, want the ghost; the test would pass vacuously",
+				owner, url, key)
+		}
+	}
 
 	// A direct request: routing points at the dead peer, forwarding
 	// fails, the node falls back to serving locally.

@@ -2,7 +2,6 @@ package measures
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -20,12 +19,13 @@ import (
 // their disjoint outputs), batches are assigned to a fixed number of
 // accumulation stripes determined only by the input size: stripe j
 // owns batches j, j+S, j+2S, … in ascending order, and the stripe
-// vectors are merged in ascending stripe order. Workers claim whole
-// stripes, so scheduling moves stripes between workers without ever
-// reordering a single addition. The serial kernels run the identical
-// stripe schedule on one goroutine — BetweennessCentrality and
-// ParallelBetweennessCentrality are bitwise identical, for any
-// GOMAXPROCS, and likewise for the edge and sampled variants.
+// vectors are merged in ascending stripe order. Worker w runs whole
+// stripes w, w+W, w+2W, …, so the worker count moves stripes between
+// workers without ever reordering a single addition. The serial
+// kernels run the identical stripe schedule on one goroutine —
+// BetweennessCentrality and ParallelBetweennessCentrality are bitwise
+// identical, for any GOMAXPROCS, and likewise for the edge and sampled
+// variants.
 
 // brandesStripeCount is the fixed accumulation-stripe count of the
 // merge contract: enough stripes to feed every realistic core count,
@@ -69,60 +69,23 @@ func msBrandesFields(g *graph.Graph, sources []int32, wantBC, wantEBC bool, work
 	if wantEBC {
 		ebcStripes = make([]float64, stripes*m)
 	}
-	// Partition-aware stripe claiming: the accumulators are stripe-major,
-	// so a worker that owns consecutive stripes writes one contiguous
-	// region of the backing array. With a budget set, workers claim runs
-	// of stripes sized so each run's accumulator rows fit the budget —
-	// scheduling only: stripe composition (which batches feed stripe j,
-	// in which order) and the ascending merge below are fixed by the
-	// input alone, so the fields are bitwise identical for any partition
-	// size (and for none).
-	stripeBytes := 0
-	if wantBC {
-		stripeBytes += 8 * n
-	}
-	if wantEBC {
-		stripeBytes += 8 * m
-	}
-	span := par.SpanForBudget(stripes*stripeBytes, stripes)
-	var claim *atomic.Int64
-	if span > 0 {
-		claim = new(atomic.Int64)
-	}
 	run := func(w int) {
 		var scratch graph.MSBrandesScratch
-		next := w // next strided stripe (span == 0 path)
-		for {
-			var jLo, jHi int
-			if span > 0 {
-				jLo = int(claim.Add(int64(span))) - span
-				jHi = jLo + span
-				if jHi > stripes {
-					jHi = stripes
-				}
-			} else {
-				jLo, jHi = next, next+1
-				next += workers
+		for j := w; j < stripes; j += workers {
+			var sb, se []float64
+			if wantBC {
+				sb = bcStripes[j*n : (j+1)*n]
 			}
-			if jLo >= stripes {
-				return
+			if wantEBC {
+				se = ebcStripes[j*m : (j+1)*m]
 			}
-			for j := jLo; j < jHi; j++ {
-				var sb, se []float64
-				if wantBC {
-					sb = bcStripes[j*n : (j+1)*n]
+			for b := j; b < numBatches; b += stripes {
+				lo := b * graph.MSBFSBatch
+				hi := lo + graph.MSBFSBatch
+				if hi > len(sources) {
+					hi = len(sources)
 				}
-				if wantEBC {
-					se = ebcStripes[j*m : (j+1)*m]
-				}
-				for b := j; b < numBatches; b += stripes {
-					lo := b * graph.MSBFSBatch
-					hi := lo + graph.MSBFSBatch
-					if hi > len(sources) {
-						hi = len(sources)
-					}
-					scratch.AccumulateBatch(g, sources[lo:hi], sb, se)
-				}
+				scratch.AccumulateBatch(g, sources[lo:hi], sb, se)
 			}
 		}
 	}

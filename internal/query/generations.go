@@ -99,15 +99,33 @@ func (g *GenerationFile) Load() (map[string]uint64, error) {
 // and rewrite the file atomically. The whole operation runs under the
 // store's own mutex — not the engine's genMu — so a slow disk never
 // blocks generation reads at analysis start, and two racing Saves
-// serialize here with the monotonic guard deciding who wins.
+// serialize here with the monotonic guard deciding who wins. A table
+// the decoder would reject — a name over maxDatasetNameBytes, or a
+// file over maxGenFileBytes — is an error and nothing is written: a
+// reopen would otherwise quarantine the file and lose every dataset's
+// generation.
 func (g *GenerationFile) Save(dataset string, gen uint64) error {
+	if len(dataset) > maxDatasetNameBytes {
+		return fmt.Errorf("query: persisting generations: dataset name is %d bytes (max %d)",
+			len(dataset), maxDatasetNameBytes)
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if gen <= g.gens[dataset] {
+	prev, had := g.gens[dataset]
+	if gen <= prev {
 		return nil
 	}
 	g.gens[dataset] = gen
 	data := encodeGenerations(g.gens)
+	if len(data) > maxGenFileBytes {
+		if had {
+			g.gens[dataset] = prev
+		} else {
+			delete(g.gens, dataset)
+		}
+		return fmt.Errorf("query: persisting generations: table would be %d bytes (max %d)",
+			len(data), maxGenFileBytes)
+	}
 	dir := filepath.Dir(g.path)
 	tmp, err := os.CreateTemp(dir, "tmp-gens-*")
 	if err != nil {

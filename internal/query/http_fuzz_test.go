@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -54,6 +57,67 @@ func FuzzBatchQuery(f *testing.F) {
 		}
 		if len(resp.Results) != len(req.Ops) {
 			t.Fatalf("%d results for %d ops", len(resp.Results), len(req.Ops))
+		}
+	})
+}
+
+// FuzzInvalidate sends arbitrary method, dataset and gen values to the
+// invalidation endpoint of an engine whose generations persist in a
+// GenerationFile, seeded with GrQc at generation 3. The handler must
+// answer 200, 400 or 405; after a 200 a reopened file must report the
+// engine's generation for the dataset, and whatever the answer, GrQc's
+// persisted generation must survive.
+func FuzzInvalidate(f *testing.F) {
+	for _, seed := range [][3]string{
+		{http.MethodPost, "GrQc", ""},
+		{http.MethodPost, "GrQc", "7"},
+		{http.MethodPost, "GrQc", "1"},
+		{http.MethodPost, "PPI", "18446744073709551615"},
+		{http.MethodPost, "PPI", "-1"},
+		{http.MethodPost, "", ""},
+		{http.MethodGet, "GrQc", ""},
+		{http.MethodPut, "x\x00y", "2"},
+		{http.MethodPost, strings.Repeat("n", maxDatasetNameBytes), "2"},
+		{http.MethodPost, strings.Repeat("x", 5<<10), ""},
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+
+	f.Fuzz(func(t *testing.T, method, dataset, gen string) {
+		path := filepath.Join(t.TempDir(), "generations")
+		gf, err := NewGenerationFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gf.Save("GrQc", 3); err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(Options{Generations: gf})
+		target := "/api/v1/invalidate?" + url.Values{"dataset": {dataset}, "gen": {gen}}.Encode()
+		req, err := http.NewRequest(method, target, nil)
+		if err != nil {
+			return // not an HTTP method a client can send
+		}
+		rec := httptest.NewRecorder()
+		(&InvalidationHandler{Engine: e}).ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusMethodNotAllowed:
+		default:
+			t.Fatalf("status %d for %s dataset=%q gen=%q: %s", rec.Code, method, dataset, gen, rec.Body.Bytes())
+		}
+
+		reopened, err := NewGenerationFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens, _ := reopened.Load()
+		if rec.Code == http.StatusOK {
+			if got, want := gens[dataset], e.DatasetGeneration(dataset); got != want {
+				t.Fatalf("dataset %q: reopened file reports generation %d, engine %d", dataset, got, want)
+			}
+		}
+		if got, want := gens["GrQc"], e.DatasetGeneration("GrQc"); got != want || got < 3 {
+			t.Fatalf("GrQc: reopened file reports generation %d, engine %d (seeded 3)", got, want)
 		}
 	})
 }

@@ -188,6 +188,12 @@ func (h *InvalidationHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) 
 		http.Error(w, "dataset is required", http.StatusBadRequest)
 		return
 	}
+	// The generation table refuses longer names; accepting one here
+	// would bump a generation that can never persist.
+	if len(dataset) > maxDatasetNameBytes {
+		http.Error(w, fmt.Sprintf("dataset name exceeds %d bytes", maxDatasetNameBytes), http.StatusBadRequest)
+		return
+	}
 	if genStr := r.URL.Query().Get("gen"); genStr != "" {
 		gen, err := strconv.ParseUint(genStr, 10, 64)
 		if err != nil {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -319,6 +320,68 @@ func TestGenerationFileDurability(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(filepath.Dir(path), corruptPrefix+filepath.Base(path))); err != nil {
 		t.Fatalf("corrupt generation file was not quarantined: %v", err)
+	}
+}
+
+// TestOverlongNameCannotWipeGenerations: a dataset name the
+// generation table cannot hold is refused at the invalidation endpoint
+// and by Save, so it never reaches the file — where the decoder would
+// reject the whole table on the next open, quarantine it, and reset
+// every dataset's generation to 0.
+func TestOverlongNameCannotWipeGenerations(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "generations")
+	gf, err := NewGenerationFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(Options{Generations: gf})
+	srv := httptest.NewServer(&InvalidationHandler{Engine: e})
+	defer srv.Close()
+	post := func(dataset string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/api/v1/invalidate?dataset="+dataset, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i := 0; i < 3; i++ {
+		if st := post("GrQc"); st != http.StatusOK {
+			t.Fatalf("invalidate GrQc: status %d", st)
+		}
+	}
+	long := strings.Repeat("x", 5<<10)
+	if st := post(long); st != http.StatusBadRequest {
+		t.Errorf("invalidate with a %d-byte name: status %d, want 400", len(long), st)
+	}
+	if err := gf.Save(long, 1); err == nil {
+		t.Errorf("Save accepted a %d-byte name the decoder rejects", len(long))
+	}
+	// Enough names at the length bound to push the table past the file
+	// bound: the Save that would cross it fails and writes nothing.
+	name := strings.Repeat("n", maxDatasetNameBytes-8)
+	saved := 0
+	for i := 0; i < maxGenFileBytes/len(name)+2; i++ {
+		if err := gf.Save(fmt.Sprintf("%s%08d", name, i), 1); err != nil {
+			break
+		}
+		saved++
+	}
+	if saved > maxGenFileBytes/len(name) {
+		t.Errorf("Save wrote %d names of %d bytes, past the %d-byte file bound", saved, len(name)+8, maxGenFileBytes)
+	}
+
+	reopened, err := NewGenerationFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens, _ := reopened.Load()
+	if gens["GrQc"] != 3 {
+		t.Fatalf("GrQc generation after reopen = %d, want 3", gens["GrQc"])
+	}
+	if len(gens) != saved+1 {
+		t.Fatalf("reopened table holds %d datasets, want %d", len(gens), saved+1)
 	}
 }
 
