@@ -16,6 +16,8 @@
 package contour
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -96,34 +98,37 @@ type Spectrum struct {
 // (parent's scalar, its own scalar], so B0 accumulates one interval
 // per super node; survivor counts accumulate one histogram entry per
 // item. Runs in O(nodes + items + levels) after an O(n log n) sort of
-// the distinct levels.
+// the node IDs by scalar.
 func NewSpectrum(st *core.SuperTree) *Spectrum {
 	n := st.Len()
+	// A stable sort keeps equal scalars in ID order, so each level
+	// takes the value of its lowest-ID node: the representative among
+	// scalars that compare equal, such as -0 and +0.
+	order := make([]int32, n)
+	for s := range order {
+		order[s] = int32(s)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Compare(st.Scalar[a], st.Scalar[b])
+	})
 	levels := make([]float64, 0, n)
-	seen := make(map[float64]struct{}, n)
-	for s := 0; s < n; s++ {
-		v := st.Scalar[s]
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
+	levelOf := make([]int32, n)
+	for _, s := range order {
+		if v := st.Scalar[s]; len(levels) == 0 || v != levels[len(levels)-1] {
 			levels = append(levels, v)
 		}
-	}
-	sort.Float64s(levels)
-	idx := make(map[float64]int, len(levels))
-	for i, v := range levels {
-		idx[v] = i
+		levelOf[s] = int32(len(levels) - 1)
 	}
 
 	// Difference array over level indices for B0.
 	diff := make([]int, len(levels)+1)
 	for s := 0; s < n; s++ {
-		lo := 0
+		lo := int32(0)
 		if p := st.Parent[s]; p >= 0 {
-			lo = idx[st.Scalar[p]] + 1
+			lo = levelOf[p] + 1
 		}
-		hi := idx[st.Scalar[s]]
 		diff[lo]++
-		diff[hi+1]--
+		diff[levelOf[s]+1]--
 	}
 	comps := make([]int, len(levels))
 	run := 0
@@ -135,7 +140,7 @@ func NewSpectrum(st *core.SuperTree) *Spectrum {
 	// Histogram + suffix sum for survivor counts.
 	items := make([]int, len(levels))
 	for s := 0; s < n; s++ {
-		items[idx[st.Scalar[s]]] += len(st.Members[s])
+		items[levelOf[s]] += len(st.Members[s])
 	}
 	for i := len(levels) - 2; i >= 0; i-- {
 		items[i] += items[i+1]

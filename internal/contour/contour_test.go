@@ -1,6 +1,7 @@
 package contour
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -185,6 +186,27 @@ func TestSpectrumTwoPeaks(t *testing.T) {
 	alpha, count := sp.MaxComponents()
 	if count != 2 || alpha != 3 {
 		t.Fatalf("MaxComponents = (%g, %d), want (3, 2)", alpha, count)
+	}
+}
+
+// TestSpectrumSignedZeroTie: -0 and +0 compare equal, so they share
+// one level, and that level keeps the lowest-ID node's bits.
+func TestSpectrumSignedZeroTie(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, scalars := range [][]float64{{negZero, 0}, {0, negZero}} {
+		st := &core.SuperTree{
+			Parent:  []int32{-1, -1},
+			Scalar:  scalars,
+			Members: [][]int32{{0}, {1}},
+			NodeOf:  []int32{0, 1},
+		}
+		sp := NewSpectrum(st)
+		if len(sp.Levels) != 1 || math.Signbit(sp.Levels[0]) != math.Signbit(scalars[0]) {
+			t.Fatalf("scalars %v: levels %v, want one level with node 0's sign", scalars, sp.Levels)
+		}
+		if sp.Components[0] != 2 || sp.Items[0] != 2 {
+			t.Errorf("scalars %v: B0 %v, items %v, want [2] and [2]", scalars, sp.Components, sp.Items)
+		}
 	}
 }
 

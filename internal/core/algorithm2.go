@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -122,8 +123,8 @@ func (st *SuperTree) SubtreeSize() []int32 {
 		return st.size
 	}
 	size := make([]int32, len(st.Parent))
-	// Children were appended in creation order, so node IDs are
-	// topologically ordered root-first; accumulate in reverse.
+	// Validate enforces parent-first node IDs (Parent[s] < s), so a
+	// reverse scan sees every child before its parent.
 	for s := len(st.Parent) - 1; s >= 0; s-- {
 		size[s] += int32(len(st.Members[s]))
 		if p := st.Parent[s]; p >= 0 {
@@ -189,10 +190,13 @@ func (st *SuperTree) ComponentsAt(alpha float64) [][]int32 {
 	return comps
 }
 
-// Validate checks super-tree invariants: monotone scalars along parent
-// links with strict inequality (equal-scalar chains must have been
-// merged), every item assigned to exactly one super node whose scalar
-// matches the item count bookkeeping, and acyclicity.
+// Validate checks super-tree invariants in O(nodes + items): every
+// scalar is a number, parent IDs are smaller than their children's
+// (the parent-first order Postprocess creates, which rules out cycles
+// and which SubtreeSize, Persistences and terrain depth rely on),
+// scalars rise strictly along parent links (equal-scalar chains must
+// have been merged), and every item is assigned to exactly one super
+// node.
 func (st *SuperTree) Validate() error {
 	n := len(st.Parent)
 	if len(st.Scalar) != n || len(st.Members) != n {
@@ -200,9 +204,12 @@ func (st *SuperTree) Validate() error {
 	}
 	total := 0
 	for s := 0; s < n; s++ {
+		if math.IsNaN(st.Scalar[s]) {
+			return fmt.Errorf("core: super node %d has a NaN scalar", s)
+		}
 		p := st.Parent[s]
-		if p < -1 || int(p) >= n {
-			return fmt.Errorf("core: super node %d has out-of-range parent %d", s, p)
+		if p < -1 || int(p) >= s {
+			return fmt.Errorf("core: super node %d has parent %d, want -1 or a smaller node ID", s, p)
 		}
 		if p >= 0 && st.Scalar[s] <= st.Scalar[p] {
 			return fmt.Errorf("core: super node %d scalar %g not strictly above parent's %g",
@@ -221,15 +228,6 @@ func (st *SuperTree) Validate() error {
 	}
 	if total != len(st.NodeOf) {
 		return fmt.Errorf("core: super tree covers %d items, want %d", total, len(st.NodeOf))
-	}
-	for s := 0; s < n; s++ {
-		steps := 0
-		for v := int32(s); v >= 0; v = st.Parent[v] {
-			steps++
-			if steps > n {
-				return fmt.Errorf("core: super tree parent cycle reachable from %d", s)
-			}
-		}
 	}
 	return nil
 }

@@ -103,3 +103,19 @@ func BenchmarkAblationGraphRepr(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkValidateDeepChain validates a 2^18-node chain, the shape
+// continuous fields such as pagerank approach.
+func BenchmarkValidateDeepChain(b *testing.B) {
+	parent, scalar, nodeOf := chainTree(1 << 18)
+	members := make([][]int32, len(parent))
+	for s := range members {
+		members[s] = []int32{int32(s)}
+	}
+	st := &SuperTree{Parent: parent, Scalar: scalar, NodeOf: nodeOf, Members: members}
+	for b.Loop() {
+		if err := st.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -10,7 +11,8 @@ import (
 // FuzzReadSuperTree asserts the binary reader's contract: arbitrary
 // bytes never panic and never produce an invalid tree — anything
 // accepted passes Validate (the reader validates before returning, so
-// a Validate failure here means that guarantee regressed).
+// a Validate failure here means that guarantee regressed), is
+// parent-first, and its roots' subtrees cover every item.
 func FuzzReadSuperTree(f *testing.F) {
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	st := VertexSuperTree(MustVertexField(g, []float64{3, 1, 2, 1}))
@@ -22,6 +24,10 @@ func FuzzReadSuperTree(f *testing.F) {
 	f.Add([]byte("SFST"))
 	f.Add([]byte("SFST\x01\xff\xff\xff\xff\xff\xff\xff\xff")) // hostile header
 	f.Add([]byte{})
+	f.Add(encodeTree(f, []int32{-1, 0, 1}, []float64{1, math.NaN(), 2}, []int32{0, 1, 2}))
+	f.Add(encodeTree(f, []int32{-1, 2, 0}, []float64{1, 3, 2}, []int32{0, 1, 2}))
+	chainParent, chainScalar, chainNodeOf := chainTree(1 << 10)
+	f.Add(encodeTree(f, chainParent, chainScalar, chainNodeOf))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := ReadSuperTree(bytes.NewReader(data))
 		if err != nil {
@@ -29,6 +35,19 @@ func FuzzReadSuperTree(f *testing.F) {
 		}
 		if err := st.Validate(); err != nil {
 			t.Fatalf("reader accepted an invalid tree: %v", err)
+		}
+		for s, p := range st.Parent {
+			if p >= int32(s) {
+				t.Fatalf("reader accepted node %d with parent %d", s, p)
+			}
+		}
+		size := st.SubtreeSize()
+		covered := 0
+		for _, r := range st.Roots() {
+			covered += int(size[r])
+		}
+		if covered != st.NumItems() {
+			t.Fatalf("root subtrees cover %d of %d items", covered, st.NumItems())
 		}
 	})
 }

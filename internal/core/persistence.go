@@ -47,8 +47,8 @@ func Persistences(st *SuperTree) []PeakPersistence {
 	top := make([]float64, n)
 	carrier := make([]int32, n)
 	ch := st.Children()
-	// Node IDs are topologically ordered parent-first, so a reverse
-	// scan accumulates subtree maxima.
+	// Validate enforces parent-first node IDs (Parent[s] < s), so a
+	// reverse scan accumulates subtree maxima.
 	for s := n - 1; s >= 0; s-- {
 		top[s] = st.Scalar[s]
 		carrier[s] = int32(s)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Scalar trees travel between the construction tool and the
@@ -126,44 +127,48 @@ func ReadSuperTree(r io.Reader) (*SuperTree, error) {
 // result as data actually arrives so memory stays proportional to the
 // bytes read rather than the declared count.
 func readInt32s(r io.Reader, n int) ([]int32, error) {
-	const chunk = 1 << 15
-	first := n
-	if first > chunk {
-		first = chunk
-	}
-	out := make([]int32, 0, first)
-	buf := make([]int32, first)
-	for len(out) < n {
-		k := n - len(out)
-		if k > len(buf) {
-			k = len(buf)
+	out := make([]int32, 0, min(n, readChunk/4))
+	err := readChunks(r, n, 4, func(b []byte) {
+		for i := 0; i < len(b); i += 4 {
+			out = append(out, int32(binary.LittleEndian.Uint32(b[i:])))
 		}
-		if err := binary.Read(r, binary.LittleEndian, buf[:k]); err != nil {
-			return nil, err
-		}
-		out = append(out, buf[:k]...)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // readFloat64s is readInt32s for float64 payloads.
 func readFloat64s(r io.Reader, n int) ([]float64, error) {
-	const chunk = 1 << 14
-	first := n
-	if first > chunk {
-		first = chunk
-	}
-	out := make([]float64, 0, first)
-	buf := make([]float64, first)
-	for len(out) < n {
-		k := n - len(out)
-		if k > len(buf) {
-			k = len(buf)
+	out := make([]float64, 0, min(n, readChunk/8))
+	err := readChunks(r, n, 8, func(b []byte) {
+		for i := 0; i < len(b); i += 8 {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
 		}
-		if err := binary.Read(r, binary.LittleEndian, buf[:k]); err != nil {
-			return nil, err
-		}
-		out = append(out, buf[:k]...)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// readChunk bounds the bytes one readChunks step reads and buffers.
+const readChunk = 1 << 17
+
+// readChunks reads n values of size bytes each through one reused
+// buffer of at most readChunk bytes, handing every filled chunk to
+// decode. A short read fails with io.ErrUnexpectedEOF, or io.EOF when
+// no byte of a chunk arrived, as binary.Read does.
+func readChunks(r io.Reader, n, size int, decode func([]byte)) error {
+	buf := make([]byte, min(n, readChunk/size)*size)
+	for n > 0 {
+		k := min(n, len(buf)/size)
+		if _, err := io.ReadFull(r, buf[:k*size]); err != nil {
+			return err
+		}
+		decode(buf[:k*size])
+		n -= k
+	}
+	return nil
 }

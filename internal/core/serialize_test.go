@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -107,5 +108,76 @@ func TestReadSuperTreeCorruptMapping(t *testing.T) {
 	data[len(data)-1] = 0x7F
 	if _, err := ReadSuperTree(bytes.NewReader(data)); err == nil {
 		t.Error("want error for out-of-range item mapping")
+	}
+}
+
+// encodeTree writes a hand-built tree in the binary format without
+// validating it, so tests can feed the reader trees Postprocess never
+// produces.
+func encodeTree(tb testing.TB, parent []int32, scalar []float64, nodeOf []int32) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	st := &SuperTree{Parent: parent, Scalar: scalar, NodeOf: nodeOf}
+	if _, err := st.WriteTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// chainTree is a path of n single-item super nodes with strictly
+// increasing scalars: the deepest tree n nodes can form.
+func chainTree(n int) (parent []int32, scalar []float64, nodeOf []int32) {
+	parent = make([]int32, n)
+	scalar = make([]float64, n)
+	nodeOf = make([]int32, n)
+	for s := range parent {
+		parent[s] = int32(s) - 1
+		scalar[s] = float64(s)
+		nodeOf[s] = int32(s)
+	}
+	return parent, scalar, nodeOf
+}
+
+func TestReadSuperTreeDeepChain(t *testing.T) {
+	const n = 1 << 18
+	parent, scalar, nodeOf := chainTree(n)
+	data := encodeTree(t, parent, scalar, nodeOf)
+	st, err := ReadSuperTree(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != n || st.NumItems() != n {
+		t.Fatalf("decoded %d nodes / %d items, want %d", st.Len(), st.NumItems(), n)
+	}
+	if got := st.SubtreeSize()[0]; got != n {
+		t.Errorf("root subtree size %d, want %d", got, n)
+	}
+}
+
+// TestReadSuperTreeRejectsNaNScalar: NaN fails every comparison, so a
+// monotonicity check alone lets it through.
+func TestReadSuperTreeRejectsNaNScalar(t *testing.T) {
+	parent, scalar, nodeOf := []int32{-1, 0, 1}, []float64{1, math.NaN(), 2}, []int32{0, 1, 2}
+	if _, err := ReadSuperTree(bytes.NewReader(encodeTree(t, parent, scalar, nodeOf))); err == nil {
+		t.Error("reader accepted a tree with a NaN scalar")
+	}
+	st := &SuperTree{Parent: parent, Scalar: scalar, NodeOf: nodeOf, Members: [][]int32{{0}, {1}, {2}}}
+	if err := st.Validate(); err == nil {
+		t.Error("Validate accepted a tree with a NaN scalar")
+	}
+}
+
+// TestReadSuperTreeRejectsChildBelowParent: node 1's parent is node 2.
+// The tree is acyclic and monotone, but the reverse scans of
+// SubtreeSize and Persistences would visit node 1 before its parent
+// (the root's subtree size would come out as 2 of 3 items).
+func TestReadSuperTreeRejectsChildBelowParent(t *testing.T) {
+	parent, scalar, nodeOf := []int32{-1, 2, 0}, []float64{1, 3, 2}, []int32{0, 1, 2}
+	if _, err := ReadSuperTree(bytes.NewReader(encodeTree(t, parent, scalar, nodeOf))); err == nil {
+		t.Error("reader accepted a tree whose child ID is below its parent's")
+	}
+	st := &SuperTree{Parent: parent, Scalar: scalar, NodeOf: nodeOf, Members: [][]int32{{0}, {1}, {2}}}
+	if err := st.Validate(); err == nil {
+		t.Error("Validate accepted a tree whose child ID is below its parent's")
 	}
 }

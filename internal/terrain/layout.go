@@ -94,14 +94,19 @@ func NewLayout(st *core.SuperTree, opts LayoutOptions) *Layout {
 	cells := partitionWith(Rect{0, 0, 1, 1}, floorShares(shares, opts.MinShare), opts.Strategy)
 	for i, r := range roots {
 		l.Rects[r] = cells[i]
-		l.layoutChildren(r, opts, sizes)
+	}
+	// A validated tree is parent-first (Parent[s] < s), so a pass in ID
+	// order reaches every node after its boundary is placed, without a
+	// call stack as deep as the tree (near-chains for continuous fields).
+	for s := range st.Parent {
+		l.layoutChildren(int32(s), opts, sizes)
 	}
 	return l
 }
 
-// layoutChildren recursively places node s's children inside its
-// boundary using binary area partition, which keeps cells close to
-// square instead of degenerating into thin strips.
+// layoutChildren places node s's children inside its boundary using
+// binary area partition, which keeps cells close to square instead of
+// degenerating into thin strips.
 func (l *Layout) layoutChildren(s int32, opts LayoutOptions, sizes []int32) {
 	ch := l.ST.Children()[s]
 	if len(ch) == 0 {
@@ -130,7 +135,6 @@ func (l *Layout) layoutChildren(s int32, opts LayoutOptions, sizes []int32) {
 	cells := partitionWith(inner, floorShares(shares, opts.MinShare), opts.Strategy)
 	for i, c := range order {
 		l.Rects[c] = cells[i]
-		l.layoutChildren(c, opts, sizes)
 	}
 }
 

@@ -94,16 +94,16 @@ func (l *Layout) PeakAtPoint(x, y, alpha float64) *Peak {
 	return nil
 }
 
-// depths computes each super node's nesting depth.
+// depths computes each super node's nesting depth in one pass: a
+// validated tree is parent-first (Parent[s] < s), so a parent's depth
+// is known before its children's.
 func (l *Layout) depths() []int {
 	st := l.ST
 	depth := make([]int, st.Len())
-	for s := 0; s < st.Len(); s++ {
-		d := 0
-		for p := st.Parent[s]; p >= 0; p = st.Parent[p] {
-			d++
+	for s, p := range st.Parent {
+		if p >= 0 {
+			depth[s] = depth[p] + 1
 		}
-		depth[s] = d
 	}
 	return depth
 }

@@ -1,6 +1,7 @@
 package terrain
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -54,6 +55,37 @@ func TestNodeAtPointOutside(t *testing.T) {
 	_, l := selectField()
 	if got := l.NodeAtPoint(5, 5); got != -1 {
 		t.Errorf("far point resolved to node %d, want -1", got)
+	}
+}
+
+// TestNodeAtPointMatchesRootWalk checks NodeAtPoint against a
+// reference that measures each node's depth by walking to its root.
+func TestNodeAtPointMatchesRootWalk(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		st, _ := randomSuperTree(seed, 60, 8)
+		l := NewLayout(st, LayoutOptions{})
+		depth := make([]int, st.Len())
+		for s := range depth {
+			for p := st.Parent[s]; p >= 0; p = st.Parent[p] {
+				depth[s]++
+			}
+		}
+		want := func(x, y float64) int32 {
+			best, bestDepth := int32(-1), -1
+			for s, r := range l.Rects {
+				if r.Contains(x, y) && depth[s] > bestDepth {
+					best, bestDepth = int32(s), depth[s]
+				}
+			}
+			return best
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 200; i++ {
+			x, y := rng.Float64()*1.2-0.1, rng.Float64()*1.2-0.1
+			if got, w := l.NodeAtPoint(x, y), want(x, y); got != w {
+				t.Fatalf("seed %d: NodeAtPoint(%g, %g) = %d, want %d", seed, x, y, got, w)
+			}
+		}
 	}
 }
 

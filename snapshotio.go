@@ -301,7 +301,8 @@ func (d *snapshotDecoder) finish() (*SnapshotRecord, error) {
 		return nil, fmt.Errorf("scalarfield: snapshot tree spans %d items for a %d-item field", tree.NumItems(), items)
 	}
 
-	t, err := NewTerrainFromTree(tree, TerrainOptions{Layout: rec.Layout})
+	// core.ReadSuperTree validated the tree already.
+	t, err := newTerrain(tree, TerrainOptions{Layout: rec.Layout})
 	if err != nil {
 		return nil, fmt.Errorf("scalarfield: snapshot terrain reconstruction: %w", err)
 	}
