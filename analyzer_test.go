@@ -24,7 +24,8 @@ func TestAnalyzerMatchesAnalyze(t *testing.T) {
 			}
 			if !reflect.DeepEqual(want.Tree.Parent, got.Tree.Parent) ||
 				!reflect.DeepEqual(want.Tree.Scalar, got.Tree.Scalar) ||
-				!reflect.DeepEqual(want.Tree.Members, got.Tree.Members) ||
+				!reflect.DeepEqual(want.Tree.MemberStart, got.Tree.MemberStart) ||
+				!reflect.DeepEqual(want.Tree.MemberItems, got.Tree.MemberItems) ||
 				!reflect.DeepEqual(want.Tree.NodeOf, got.Tree.NodeOf) {
 				t.Fatalf("round %d measure %q: pooled Analyzer diverges from Analyze", round, name)
 			}

@@ -96,7 +96,7 @@ func runFig3(cfg config) error {
 	st := core.Postprocess(raw)
 	fmt.Printf("raw tree nodes: %d; super tree nodes after Algorithm 2: %d\n", raw.Len(), st.Len())
 	for s := 0; s < st.Len(); s++ {
-		fmt.Printf("super node %d (scalar %g): members %v\n", s, st.Scalar[s], st.Members[s])
+		fmt.Printf("super node %d (scalar %g): members %v\n", s, st.Scalar[s], st.Members(int32(s)))
 	}
 	return nil
 }

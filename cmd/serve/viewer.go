@@ -205,7 +205,7 @@ func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tree := snap.Terrain.Tree
-	op := query.Op{Op: query.OpComponentOf, Item: tree.Members[node][0], Alpha: tree.Scalar[node]}
+	op := query.Op{Op: query.OpComponentOf, Item: tree.Members(node)[0], Alpha: tree.Scalar[node]}
 	writeJSON(w, struct {
 		Node   int32   `json:"node"`
 		Scalar float64 `json:"scalar"`

@@ -140,7 +140,7 @@ func NewSpectrum(st *core.SuperTree) *Spectrum {
 	// Histogram + suffix sum for survivor counts.
 	items := make([]int, len(levels))
 	for s := 0; s < n; s++ {
-		items[levelOf[s]] += len(st.Members[s])
+		items[levelOf[s]] += int(st.MemberStart[s+1] - st.MemberStart[s])
 	}
 	for i := len(levels) - 2; i >= 0; i-- {
 		items[i] += items[i+1]

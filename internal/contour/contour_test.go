@@ -195,10 +195,11 @@ func TestSpectrumSignedZeroTie(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, scalars := range [][]float64{{negZero, 0}, {0, negZero}} {
 		st := &core.SuperTree{
-			Parent:  []int32{-1, -1},
-			Scalar:  scalars,
-			Members: [][]int32{{0}, {1}},
-			NodeOf:  []int32{0, 1},
+			Parent:      []int32{-1, -1},
+			Scalar:      scalars,
+			MemberStart: []int32{0, 1, 2},
+			MemberItems: []int32{0, 1},
+			NodeOf:      []int32{0, 1},
 		}
 		sp := NewSpectrum(st)
 		if len(sp.Levels) != 1 || math.Signbit(sp.Levels[0]) != math.Signbit(scalars[0]) {
@@ -311,5 +312,23 @@ func TestSublevelDualityWithSuperlevel(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("α=%g: sublevel %v != superlevel-of-negated %v", alpha, got, want)
 		}
+	}
+}
+
+// TestNewSpectrumAllocsIndependentOfSize: the spectrum of a 2^16-node
+// chain takes only a few more allocations than that of a 100-node one.
+func TestNewSpectrumAllocsIndependentOfSize(t *testing.T) {
+	const slack = 2
+	chain := func(n int) *core.SuperTree {
+		values := make([]float64, n)
+		for v := range values {
+			values[v] = float64(v)
+		}
+		return core.VertexSuperTree(core.MustVertexField(pathGraph(n), values))
+	}
+	small, large := chain(100), chain(1<<16)
+	want := testing.AllocsPerRun(5, func() { NewSpectrum(small) })
+	if got := testing.AllocsPerRun(5, func() { NewSpectrum(large) }); got > want+slack {
+		t.Errorf("%.0f allocations on a 2^16-node chain, %.0f on 100 nodes", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -15,72 +16,141 @@ import (
 // After postprocessing, Properties 2–4 of the scalar-tree definition
 // hold again: the subtrees of a SuperTree are exactly the maximal
 // α-connected components of the field, nested the same way.
+//
+// The tree is flat: every per-node list lives in one shared array
+// indexed by an offsets array (CSR form), so a tree costs a fixed
+// number of allocations whatever its node count. Node IDs are
+// parent-first (Parent[s] < s), which Validate enforces.
 type SuperTree struct {
 	// Parent[s] is super node s's parent, or -1 for a root.
 	Parent []int32
 	// Scalar[s] is the shared scalar value of every member of s.
 	Scalar []float64
-	// Members[s] lists the item IDs (vertices or edges) merged into s,
-	// in increasing ID order.
-	Members [][]int32
+	// MemberStart and MemberItems list the item IDs (vertices or
+	// edges) merged into each super node: those of s are
+	// MemberItems[MemberStart[s]:MemberStart[s+1]], in increasing ID
+	// order. len(MemberStart) is Len()+1 and MemberStart[Len()] is
+	// NumItems(). Members(s) returns the run.
+	MemberStart []int32
+	MemberItems []int32
 	// NodeOf maps each item ID to its super node.
 	NodeOf []int32
 
-	children [][]int32 // lazily built
-	size     []int32   // lazily built: total items in each subtree
+	// childStart and childList are the lazily built children in CSR
+	// form with a virtual root in slot 0: the roots are
+	// childList[childStart[0]:childStart[1]] and the children of s are
+	// childList[childStart[s+1]:childStart[s+2]], each run in
+	// increasing ID order.
+	childStart []int32
+	childList  []int32
+	size       []int32 // lazily built: total items in each subtree
 }
 
 // Postprocess runs Algorithm 2 on a raw scalar tree: a single pass
 // that groups each ancestor with its equal-scalar descendants into
-// super nodes. Time complexity is O(|V|) beyond the children lists.
+// super nodes. Time complexity is O(|V|) plus sorting each super
+// node's members.
 func Postprocess(t *Tree) *SuperTree {
+	var sc postprocessScratch
+	return sc.postprocess(t)
+}
+
+// postprocessScratch is Postprocess's working memory, kept by a
+// TreeBuilder across builds.
+type postprocessScratch struct {
+	childStart, childList []int32 // the raw tree's children, CSR with a virtual root slot
+	first                 []int32 // first[s]: the raw node that started super node s
+}
+
+func (sc *postprocessScratch) postprocess(t *Tree) *SuperTree {
 	n := t.Len()
-	st := &SuperTree{NodeOf: make([]int32, n)}
-	for i := range st.NodeOf {
-		st.NodeOf[i] = -1
+	// A raw node starts a super node when it is a root or its scalar
+	// differs from its parent's; otherwise it joins its parent's. So
+	// one pass sizes every output array exactly.
+	numSuper := 0
+	for i, p := range t.Parent {
+		if p < 0 || t.Scalar[i] != t.Scalar[p] {
+			numSuper++
+		}
 	}
-	ch := t.Children()
+	st := &SuperTree{
+		Parent:      make([]int32, numSuper),
+		Scalar:      make([]float64, numSuper),
+		MemberStart: make([]int32, numSuper+1),
+		MemberItems: make([]int32, 0, n),
+		NodeOf:      make([]int32, n),
+	}
+	sc.childStart = resize(sc.childStart, n+2)
+	sc.childList = resize(sc.childList, n)
+	groupBy(t.Parent, 1, sc.childStart, sc.childList)
+	children := func(v int32) []int32 { return sc.childList[sc.childStart[v+1]:sc.childStart[v+2]] }
 
-	newSuper := func(parent int32, scalar float64) int32 {
-		s := int32(len(st.Parent))
-		st.Parent = append(st.Parent, parent)
-		st.Scalar = append(st.Scalar, scalar)
-		st.Members = append(st.Members, nil)
-		return s
+	// first is the paper's worklist of ancestors: entry s starts super
+	// node s, whose parent is already recorded in st.Parent[s]. The
+	// roots come first, in increasing ID order.
+	first := resize(sc.first, numSuper)
+	sc.first = first
+	next := copy(first, sc.childList[sc.childStart[0]:sc.childStart[1]])
+	for s := 0; s < next; s++ {
+		st.Parent[s] = -1
 	}
-
-	// ancestors is the worklist of (tree node, its super node's parent)
-	// pairs from the paper's pseudocode: each entry starts a new super
-	// node that absorbs the node's equal-scalar descendant closure.
-	type anc struct {
-		node   int32
-		parent int32 // parent super node, -1 for roots
-	}
-	var ancestors []anc
-	for _, r := range t.Roots() {
-		ancestors = append(ancestors, anc{r, -1})
-	}
-	for head := 0; head < len(ancestors); head++ {
-		a := ancestors[head]
-		s := newSuper(a.parent, t.Scalar[a.node])
-		// BFS over the equal-scalar closure below a.node.
-		queue := []int32{a.node}
-		for len(queue) > 0 {
-			nq := queue[0]
-			queue = queue[1:]
-			st.Members[s] = append(st.Members[s], nq)
-			st.NodeOf[nq] = s
-			for _, nc := range ch[nq] {
-				if t.Scalar[nc] == t.Scalar[nq] {
-					queue = append(queue, nc)
+	items := st.MemberItems
+	for s := 0; s < next; s++ {
+		st.Scalar[s] = t.Scalar[first[s]]
+		// BFS over the equal-scalar closure below first[s]. The
+		// members run being built is the BFS queue.
+		begin := len(items)
+		items = append(items, first[s])
+		for q := begin; q < len(items); q++ {
+			v := items[q]
+			st.NodeOf[v] = int32(s)
+			for _, c := range children(v) {
+				if t.Scalar[c] == t.Scalar[v] {
+					items = append(items, c)
 				} else {
-					ancestors = append(ancestors, anc{nc, s})
+					first[next], st.Parent[next] = c, int32(s)
+					next++
 				}
 			}
 		}
-		sort.Slice(st.Members[s], func(i, j int) bool { return st.Members[s][i] < st.Members[s][j] })
+		slices.Sort(items[begin:])
+		st.MemberStart[s+1] = int32(len(items))
 	}
+	st.MemberItems = items
 	return st
+}
+
+// resize returns buf with length n, reallocating only when its
+// capacity is short. The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// groupBy is a counting sort of the indexes of keys by key: with
+// k = len(start)-1 groups, index i lands in group keys[i]+offset, and
+// on return the indexes of group g are list[start[g]:start[g+1]] in
+// increasing order. Every keys[i]+offset must lie in [0, k), and
+// len(list) must be len(keys).
+func groupBy(keys []int32, offset int32, start, list []int32) {
+	clear(start)
+	for _, key := range keys {
+		start[key+offset+1]++
+	}
+	for g := 1; g < len(start); g++ {
+		start[g] += start[g-1]
+	}
+	// Placing advances start[g] to the end of group g, which is the
+	// start of group g+1; shifting by one slot restores the offsets.
+	for i, key := range keys {
+		g := key + offset
+		list[start[g]] = int32(i)
+		start[g]++
+	}
+	copy(start[1:], start[:len(start)-1])
+	start[0] = 0
 }
 
 // Len reports the number of super nodes.
@@ -89,31 +159,34 @@ func (st *SuperTree) Len() int { return len(st.Parent) }
 // NumItems reports the number of underlying items (vertices or edges).
 func (st *SuperTree) NumItems() int { return len(st.NodeOf) }
 
-// Roots returns the root super nodes in increasing ID order.
-func (st *SuperTree) Roots() []int32 {
-	var roots []int32
-	for i, p := range st.Parent {
-		if p < 0 {
-			roots = append(roots, int32(i))
-		}
-	}
-	return roots
+// Members returns the item IDs merged into super node s, in increasing
+// ID order. The result aliases the tree; callers must not modify it.
+func (st *SuperTree) Members(s int32) []int32 {
+	return st.MemberItems[st.MemberStart[s]:st.MemberStart[s+1]]
 }
 
-// Children returns the child lists of every super node, cached.
-// Callers must not modify the result.
-func (st *SuperTree) Children() [][]int32 {
-	if st.children != nil {
-		return st.children
+// Roots returns the root super nodes in increasing ID order. The
+// result is cached; callers must not modify it.
+func (st *SuperTree) Roots() []int32 {
+	st.buildChildren()
+	return st.childList[st.childStart[0]:st.childStart[1]]
+}
+
+// Children returns the children of super node s in increasing ID
+// order. The result is cached; callers must not modify it.
+func (st *SuperTree) Children(s int32) []int32 {
+	st.buildChildren()
+	return st.childList[st.childStart[s+1]:st.childStart[s+2]]
+}
+
+func (st *SuperTree) buildChildren() {
+	if st.childStart != nil {
+		return
 	}
-	ch := make([][]int32, len(st.Parent))
-	for i, p := range st.Parent {
-		if p >= 0 {
-			ch[p] = append(ch[p], int32(i))
-		}
-	}
-	st.children = ch
-	return ch
+	start := make([]int32, len(st.Parent)+2)
+	list := make([]int32, len(st.Parent))
+	groupBy(st.Parent, 1, start, list)
+	st.childList, st.childStart = list, start
 }
 
 // SubtreeSize returns the total number of items in the subtree rooted
@@ -126,7 +199,7 @@ func (st *SuperTree) SubtreeSize() []int32 {
 	// Validate enforces parent-first node IDs (Parent[s] < s), so a
 	// reverse scan sees every child before its parent.
 	for s := len(st.Parent) - 1; s >= 0; s-- {
-		size[s] += int32(len(st.Members[s]))
+		size[s] += st.MemberStart[s+1] - st.MemberStart[s]
 		if p := st.Parent[s]; p >= 0 {
 			size[p] += size[s]
 		}
@@ -138,16 +211,15 @@ func (st *SuperTree) SubtreeSize() []int32 {
 // SubtreeItems returns every item in the subtree rooted at s,
 // in increasing item-ID order.
 func (st *SuperTree) SubtreeItems(s int32) []int32 {
-	ch := st.Children()
-	var items []int32
+	items := make([]int32, 0, st.SubtreeSize()[s])
 	stack := []int32{s}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		items = append(items, st.Members[v]...)
-		stack = append(stack, ch[v]...)
+		items = append(items, st.Members(v)...)
+		stack = append(stack, st.Children(v)...)
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
+	slices.Sort(items)
 	return items
 }
 
@@ -195,39 +267,53 @@ func (st *SuperTree) ComponentsAt(alpha float64) [][]int32 {
 // (the parent-first order Postprocess creates, which rules out cycles
 // and which SubtreeSize, Persistences and terrain depth rely on),
 // scalars rise strictly along parent links (equal-scalar chains must
-// have been merged), and every item is assigned to exactly one super
-// node.
+// have been merged), and the member runs partition the items: each
+// run is non-empty and strictly ascending, and every item appears in
+// exactly the run of the node NodeOf names.
 func (st *SuperTree) Validate() error {
 	n := len(st.Parent)
-	if len(st.Scalar) != n || len(st.Members) != n {
+	if len(st.Scalar) != n || len(st.MemberStart) != n+1 {
 		return fmt.Errorf("core: super tree slice lengths disagree")
 	}
-	total := 0
+	if st.MemberStart[0] != 0 || int(st.MemberStart[n]) != len(st.MemberItems) || len(st.MemberItems) != len(st.NodeOf) {
+		return fmt.Errorf("core: super tree member runs span [%d, %d) of %d members for %d items",
+			st.MemberStart[0], st.MemberStart[n], len(st.MemberItems), len(st.NodeOf))
+	}
+	parent, scalar, start, items, nodeOf := st.Parent, st.Scalar, st.MemberStart, st.MemberItems, st.NodeOf
 	for s := 0; s < n; s++ {
-		if math.IsNaN(st.Scalar[s]) {
+		if math.IsNaN(scalar[s]) {
 			return fmt.Errorf("core: super node %d has a NaN scalar", s)
 		}
-		p := st.Parent[s]
+		p := parent[s]
 		if p < -1 || int(p) >= s {
 			return fmt.Errorf("core: super node %d has parent %d, want -1 or a smaller node ID", s, p)
 		}
-		if p >= 0 && st.Scalar[s] <= st.Scalar[p] {
+		if p >= 0 && scalar[s] <= scalar[p] {
 			return fmt.Errorf("core: super node %d scalar %g not strictly above parent's %g",
-				s, st.Scalar[s], st.Scalar[p])
+				s, scalar[s], scalar[p])
 		}
-		if len(st.Members[s]) == 0 {
+		if start[s+1] <= start[s] {
 			return fmt.Errorf("core: super node %d has no members", s)
 		}
-		for _, m := range st.Members[s] {
-			if st.NodeOf[m] != int32(s) {
-				return fmt.Errorf("core: item %d in members of %d but NodeOf says %d",
-					m, s, st.NodeOf[m])
-			}
-		}
-		total += len(st.Members[s])
 	}
-	if total != len(st.NodeOf) {
-		return fmt.Errorf("core: super tree covers %d items, want %d", total, len(st.NodeOf))
+	// The run offsets rise strictly from 0 to len(items), so each
+	// position belongs to one run, and a run begins exactly where the
+	// previous one ends. Strictly ascending runs, each item naming its
+	// own run, and as many members as items make the runs a partition.
+	s, next := int32(0), int32(0)
+	if n > 0 {
+		next = start[1]
+	}
+	for i, m := range items {
+		if int32(i) == next {
+			s++
+			next = start[s+1]
+		} else if i > 0 && m <= items[i-1] {
+			return fmt.Errorf("core: members of super node %d not ascending at item %d", s, m)
+		}
+		if uint(m) >= uint(len(nodeOf)) || nodeOf[m] != s {
+			return fmt.Errorf("core: item %d in members of %d but NodeOf disagrees", m, s)
+		}
 	}
 	return nil
 }

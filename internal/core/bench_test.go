@@ -108,11 +108,8 @@ func BenchmarkAblationGraphRepr(b *testing.B) {
 // continuous fields such as pagerank approach.
 func BenchmarkValidateDeepChain(b *testing.B) {
 	parent, scalar, nodeOf := chainTree(1 << 18)
-	members := make([][]int32, len(parent))
-	for s := range members {
-		members[s] = []int32{int32(s)}
-	}
-	st := &SuperTree{Parent: parent, Scalar: scalar, NodeOf: nodeOf, Members: members}
+	start, items := singletonMembers(len(parent))
+	st := &SuperTree{Parent: parent, Scalar: scalar, NodeOf: nodeOf, MemberStart: start, MemberItems: items}
 	for b.Loop() {
 		if err := st.Validate(); err != nil {
 			b.Fatal(err)

@@ -46,13 +46,12 @@ func Persistences(st *SuperTree) []PeakPersistence {
 	// achieving it (ties: smallest leaf ID).
 	top := make([]float64, n)
 	carrier := make([]int32, n)
-	ch := st.Children()
 	// Validate enforces parent-first node IDs (Parent[s] < s), so a
 	// reverse scan accumulates subtree maxima.
 	for s := n - 1; s >= 0; s-- {
 		top[s] = st.Scalar[s]
 		carrier[s] = int32(s)
-		for _, c := range ch[s] {
+		for _, c := range st.Children(int32(s)) {
 			if top[c] > top[s] || (top[c] == top[s] && carrier[c] < carrier[s]) {
 				top[s] = top[c]
 				carrier[s] = carrier[c]
@@ -62,7 +61,7 @@ func Persistences(st *SuperTree) []PeakPersistence {
 	// Leaves are the branch births.
 	var out []PeakPersistence
 	for s := int32(0); s < int32(n); s++ {
-		if len(ch[s]) > 0 {
+		if len(st.Children(s)) > 0 {
 			continue
 		}
 		// Walk rootward until this leaf stops being the carrier.
@@ -102,7 +101,6 @@ func PersistenceSimplify(f *VertexField, threshold float64) *VertexField {
 	st := VertexSuperTree(f)
 	out := make([]float64, len(f.Values))
 	copy(out, f.Values)
-	ch := st.Children()
 	for _, pp := range Persistences(st) {
 		if pp.Persistence() >= threshold {
 			continue
@@ -113,7 +111,7 @@ func PersistenceSimplify(f *VertexField, threshold float64) *VertexField {
 		// the leaf down, stop before the merge node.
 		node := pp.Node
 		for {
-			for _, item := range st.Members[node] {
+			for _, item := range st.Members(node) {
 				if out[item] > pp.Death {
 					out[item] = pp.Death
 				}
@@ -125,7 +123,7 @@ func PersistenceSimplify(f *VertexField, threshold float64) *VertexField {
 			// Continue only while the parent still belongs to this
 			// branch (it has no other child with a taller top).
 			taller := false
-			for _, c := range ch[p] {
+			for _, c := range st.Children(p) {
 				if c != node && maxTopOf(st, c) >= pp.Birth {
 					taller = true
 					break
@@ -143,7 +141,7 @@ func PersistenceSimplify(f *VertexField, threshold float64) *VertexField {
 // maxTopOf returns the maximum scalar in the subtree of s.
 func maxTopOf(st *SuperTree, s int32) float64 {
 	top := st.Scalar[s]
-	for _, c := range st.Children()[s] {
+	for _, c := range st.Children(s) {
 		if t := maxTopOf(st, c); t > top {
 			top = t
 		}

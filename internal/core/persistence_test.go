@@ -83,9 +83,8 @@ func TestPersistencesCountEqualsLeaves(t *testing.T) {
 		f := randomField(seed, 60, 2.0, 8)
 		st := VertexSuperTree(f)
 		leaves := 0
-		ch := st.Children()
-		for s := 0; s < st.Len(); s++ {
-			if len(ch[s]) == 0 {
+		for s := int32(0); s < int32(st.Len()); s++ {
+			if len(st.Children(s)) == 0 {
 				leaves++
 			}
 		}

@@ -24,7 +24,8 @@ func TestTreeBuilderMatchesPackageBuilders(t *testing.T) {
 			ref := VertexSuperTree(f)
 			if !reflect.DeepEqual(ref.Parent, st.Parent) ||
 				!reflect.DeepEqual(ref.Scalar, st.Scalar) ||
-				!reflect.DeepEqual(ref.Members, st.Members) ||
+				!reflect.DeepEqual(ref.MemberStart, st.MemberStart) ||
+				!reflect.DeepEqual(ref.MemberItems, st.MemberItems) ||
 				!reflect.DeepEqual(ref.NodeOf, st.NodeOf) {
 				t.Fatalf("n=%d levels=%d: pooled super tree diverges", n, levels)
 			}

@@ -19,7 +19,7 @@ import (
 //	scalars  []f64 (numSuper)  |
 //	nodeOf   []i32 (numItems)
 //
-// Members are reconstructed from nodeOf, so the encoding is
+// Member runs are reconstructed from nodeOf, so the encoding is
 // O(numSuper + numItems) with no redundancy.
 
 const (
@@ -70,6 +70,10 @@ func (st *SuperTree) WriteTo(w io.Writer) (int64, error) {
 // ReadSuperTree deserializes a super tree written by WriteTo and
 // validates it before returning.
 func ReadSuperTree(r io.Reader) (*SuperTree, error) {
+	avail := int64(-1)
+	if lr, ok := r.(interface{ Len() int }); ok {
+		avail = int64(lr.Len())
+	}
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -97,37 +101,44 @@ func ReadSuperTree(r io.Reader) (*SuperTree, error) {
 		return nil, fmt.Errorf("core: implausible tree sizes %d/%d", numSuper, numItems)
 	}
 	// Arrays are read in bounded chunks so a hostile header cannot
-	// force a huge allocation before any payload bytes arrive.
+	// force a huge allocation before any payload bytes arrive. A reader
+	// that reports its remaining length (the bytes.Reader of an
+	// in-memory snapshot section does) proves the arrays present up
+	// front, so they are allocated once at their full size.
+	presize := avail >= int64(len(treeMagic))+1+8+12*int64(numSuper)+4*int64(numItems)
 	st := &SuperTree{}
 	var err2 error
-	if st.Parent, err2 = readInt32s(br, int(numSuper)); err2 != nil {
+	if st.Parent, err2 = readInt32s(br, int(numSuper), presize); err2 != nil {
 		return nil, fmt.Errorf("core: reading parents: %w", err2)
 	}
-	if st.Scalar, err2 = readFloat64s(br, int(numSuper)); err2 != nil {
+	if st.Scalar, err2 = readFloat64s(br, int(numSuper), presize); err2 != nil {
 		return nil, fmt.Errorf("core: reading scalars: %w", err2)
 	}
-	if st.NodeOf, err2 = readInt32s(br, int(numItems)); err2 != nil {
+	if st.NodeOf, err2 = readInt32s(br, int(numItems), presize); err2 != nil {
 		return nil, fmt.Errorf("core: reading item mapping: %w", err2)
 	}
-	st.Members = make([][]int32, numSuper)
-	// Rebuild members from nodeOf (ascending item order falls out).
 	for item, s := range st.NodeOf {
 		if s < 0 || s >= int32(numSuper) {
 			return nil, fmt.Errorf("core: item %d maps to invalid super node %d", item, s)
 		}
-		st.Members[s] = append(st.Members[s], int32(item))
 	}
+	// Rebuild the member runs from nodeOf by counting sort (ascending
+	// item order within each run falls out).
+	st.MemberStart = make([]int32, numSuper+1)
+	st.MemberItems = make([]int32, numItems)
+	groupBy(st.NodeOf, 0, st.MemberStart, st.MemberItems)
 	if err := st.Validate(); err != nil {
 		return nil, fmt.Errorf("core: deserialized tree invalid: %w", err)
 	}
 	return st, nil
 }
 
-// readInt32s reads exactly n little-endian int32 values, growing the
-// result as data actually arrives so memory stays proportional to the
-// bytes read rather than the declared count.
-func readInt32s(r io.Reader, n int) ([]int32, error) {
-	out := make([]int32, 0, min(n, readChunk/4))
+// readInt32s reads exactly n little-endian int32 values. Unless
+// presize says the bytes are known to be present, the result grows as
+// data actually arrives, so memory stays proportional to the bytes
+// read rather than the declared count.
+func readInt32s(r io.Reader, n int, presize bool) ([]int32, error) {
+	out := make([]int32, 0, initialCap(n, 4, presize))
 	err := readChunks(r, n, 4, func(b []byte) {
 		for i := 0; i < len(b); i += 4 {
 			out = append(out, int32(binary.LittleEndian.Uint32(b[i:])))
@@ -140,8 +151,8 @@ func readInt32s(r io.Reader, n int) ([]int32, error) {
 }
 
 // readFloat64s is readInt32s for float64 payloads.
-func readFloat64s(r io.Reader, n int) ([]float64, error) {
-	out := make([]float64, 0, min(n, readChunk/8))
+func readFloat64s(r io.Reader, n int, presize bool) ([]float64, error) {
+	out := make([]float64, 0, initialCap(n, 8, presize))
 	err := readChunks(r, n, 8, func(b []byte) {
 		for i := 0; i < len(b); i += 8 {
 			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
@@ -155,6 +166,15 @@ func readFloat64s(r io.Reader, n int) ([]float64, error) {
 
 // readChunk bounds the bytes one readChunks step reads and buffers.
 const readChunk = 1 << 17
+
+// initialCap is the starting capacity for n values of size bytes: all
+// of them when presized, else one chunk's worth.
+func initialCap(n, size int, presize bool) int {
+	if presize {
+		return n
+	}
+	return min(n, readChunk/size)
+}
 
 // readChunks reads n values of size bytes each through one reused
 // buffer of at most readChunk bytes, handing every filled chunk to

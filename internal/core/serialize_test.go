@@ -34,7 +34,7 @@ func TestSuperTreeRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.NodeOf, st.NodeOf) {
 			t.Fatal("item mapping differs after round trip")
 		}
-		if !reflect.DeepEqual(got.Members, st.Members) {
+		if !reflect.DeepEqual(got.MemberStart, st.MemberStart) || !reflect.DeepEqual(got.MemberItems, st.MemberItems) {
 			t.Fatal("members differ after round trip")
 		}
 		// Behavior equivalence: components at a few α values.
@@ -124,6 +124,18 @@ func encodeTree(tb testing.TB, parent []int32, scalar []float64, nodeOf []int32)
 	return buf.Bytes()
 }
 
+// singletonMembers returns the member runs of n super nodes holding
+// one item each, item s in node s.
+func singletonMembers(n int) (start, items []int32) {
+	start = make([]int32, n+1)
+	items = make([]int32, n)
+	for s := range items {
+		items[s] = int32(s)
+		start[s+1] = int32(s + 1)
+	}
+	return start, items
+}
+
 // chainTree is a path of n single-item super nodes with strictly
 // increasing scalars: the deepest tree n nodes can form.
 func chainTree(n int) (parent []int32, scalar []float64, nodeOf []int32) {
@@ -161,7 +173,8 @@ func TestReadSuperTreeRejectsNaNScalar(t *testing.T) {
 	if _, err := ReadSuperTree(bytes.NewReader(encodeTree(t, parent, scalar, nodeOf))); err == nil {
 		t.Error("reader accepted a tree with a NaN scalar")
 	}
-	st := &SuperTree{Parent: parent, Scalar: scalar, NodeOf: nodeOf, Members: [][]int32{{0}, {1}, {2}}}
+	start, items := singletonMembers(3)
+	st := &SuperTree{Parent: parent, Scalar: scalar, NodeOf: nodeOf, MemberStart: start, MemberItems: items}
 	if err := st.Validate(); err == nil {
 		t.Error("Validate accepted a tree with a NaN scalar")
 	}
@@ -176,7 +189,8 @@ func TestReadSuperTreeRejectsChildBelowParent(t *testing.T) {
 	if _, err := ReadSuperTree(bytes.NewReader(encodeTree(t, parent, scalar, nodeOf))); err == nil {
 		t.Error("reader accepted a tree whose child ID is below its parent's")
 	}
-	st := &SuperTree{Parent: parent, Scalar: scalar, NodeOf: nodeOf, Members: [][]int32{{0}, {1}, {2}}}
+	start, items := singletonMembers(3)
+	st := &SuperTree{Parent: parent, Scalar: scalar, NodeOf: nodeOf, MemberStart: start, MemberItems: items}
 	if err := st.Validate(); err == nil {
 		t.Error("Validate accepted a tree whose child ID is below its parent's")
 	}

@@ -130,7 +130,8 @@ func requireSameTree(t *testing.T, want, got *Tree, label string) {
 	ws, gs := Postprocess(want), Postprocess(got)
 	if !reflect.DeepEqual(ws.Parent, gs.Parent) ||
 		!reflect.DeepEqual(ws.Scalar, gs.Scalar) ||
-		!reflect.DeepEqual(ws.Members, gs.Members) ||
+		!reflect.DeepEqual(ws.MemberStart, gs.MemberStart) ||
+		!reflect.DeepEqual(ws.MemberItems, gs.MemberItems) ||
 		!reflect.DeepEqual(ws.NodeOf, gs.NodeOf) {
 		t.Fatalf("%s: SuperTree diverges from pre-refactor oracle", label)
 	}

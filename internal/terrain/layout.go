@@ -12,7 +12,9 @@
 package terrain
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -75,6 +77,9 @@ type Layout struct {
 // within a boundary, child boundaries (laid along the longer axis,
 // largest first) receive shares proportional to their subtree sizes,
 // with a share for the node's own members left as exposed plateau.
+//
+// Beyond the layout itself, a call allocates only one scratch sized
+// to the largest fan-out, whatever the node count.
 func NewLayout(st *core.SuperTree, opts LayoutOptions) *Layout {
 	opts.fill()
 	l := &Layout{
@@ -86,12 +91,18 @@ func NewLayout(st *core.SuperTree, opts LayoutOptions) *Layout {
 
 	sizes := st.SubtreeSize()
 	roots := st.Roots()
-	// Partition the unit square among roots by binary subdivision.
-	shares := make([]float64, len(roots))
+	// Every node's children plus its plateau share fit in the scratch.
+	fan := len(roots)
+	for s := range st.Parent {
+		fan = max(fan, len(st.Children(int32(s)))+1)
+	}
+	sc := newLayoutScratch(fan, opts.Strategy)
+	// Partition the unit square among roots.
+	shares := sc.shares[:len(roots)]
 	for i, r := range roots {
 		shares[i] = float64(sizes[r])
 	}
-	cells := partitionWith(Rect{0, 0, 1, 1}, floorShares(shares, opts.MinShare), opts.Strategy)
+	cells := sc.partition(Rect{0, 0, 1, 1}, shares, opts)
 	for i, r := range roots {
 		l.Rects[r] = cells[i]
 	}
@@ -99,16 +110,53 @@ func NewLayout(st *core.SuperTree, opts LayoutOptions) *Layout {
 	// order reaches every node after its boundary is placed, without a
 	// call stack as deep as the tree (near-chains for continuous fields).
 	for s := range st.Parent {
-		l.layoutChildren(int32(s), opts, sizes)
+		l.layoutChildren(int32(s), opts, sizes, sc)
 	}
 	return l
 }
 
-// layoutChildren places node s's children inside its boundary using
-// binary area partition, which keeps cells close to square instead of
-// degenerating into thin strips.
-func (l *Layout) layoutChildren(s int32, opts LayoutOptions, sizes []int32) {
-	ch := l.ST.Children()[s]
+// layoutScratch is NewLayout's working memory for one node's children:
+// their order, their shares and their cells, plus the span list of the
+// strip strategy.
+type layoutScratch struct {
+	order  []int32
+	shares []float64
+	cells  []Rect
+	spans  [][2]float64 // StrategyStrip only
+}
+
+func newLayoutScratch(n int, strategy Strategy) *layoutScratch {
+	sc := &layoutScratch{
+		order:  make([]int32, n),
+		shares: make([]float64, n),
+		cells:  make([]Rect, n),
+	}
+	if strategy == StrategyStrip {
+		sc.spans = make([][2]float64, n)
+	}
+	return sc
+}
+
+// partition floors shares (a prefix of sc.shares) and subdivides r
+// among them under the chosen strategy, returning the cells parallel
+// to shares. The cells alias the scratch until the next call.
+func (sc *layoutScratch) partition(r Rect, shares []float64, opts LayoutOptions) []Rect {
+	floorShares(shares, opts.MinShare)
+	cells := sc.cells[:len(shares)]
+	switch opts.Strategy {
+	case StrategySquarified:
+		squarify(r, shares, cells)
+	case StrategyStrip:
+		strips(r, shares, cells, sc.spans[:len(shares)])
+	default:
+		partition(r, shares, cells)
+	}
+	return cells
+}
+
+// layoutChildren places node s's children inside its boundary.
+func (l *Layout) layoutChildren(s int32, opts LayoutOptions, sizes []int32, sc *layoutScratch) {
+	ch := l.ST.Children(s)
 	if len(ch) == 0 {
 		return
 	}
@@ -120,58 +168,52 @@ func (l *Layout) layoutChildren(s int32, opts LayoutOptions, sizes []int32) {
 		inner = outer
 	}
 	// Order children by subtree size descending (stable by ID).
-	order := make([]int32, len(ch))
+	order := sc.order[:len(ch)]
 	copy(order, ch)
-	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(sizes[b], sizes[a]) })
 
 	// Shares: children by subtree size, plus the node's own members as
 	// a trailing plateau share (exposed floor of the parent).
-	shares := make([]float64, len(order)+1)
+	shares := sc.shares[:len(order)+1]
 	for i, c := range order {
 		shares[i] = float64(sizes[c])
 	}
-	shares[len(order)] = float64(len(l.ST.Members[s]))
+	shares[len(order)] = float64(len(l.ST.Members(s)))
 
-	cells := partitionWith(inner, floorShares(shares, opts.MinShare), opts.Strategy)
+	cells := sc.partition(inner, shares, opts)
 	for i, c := range order {
 		l.Rects[c] = cells[i]
 	}
 }
 
-// floorShares normalizes shares and applies a minimum so tiny subtrees
-// (whose boundaries "degenerate to points" in the paper) stay visible.
-func floorShares(shares []float64, minShare float64) []float64 {
+// floorShares normalizes shares in place and applies a minimum so tiny
+// subtrees (whose boundaries "degenerate to points" in the paper) stay
+// visible.
+func floorShares(shares []float64, minShare float64) {
 	total := 0.0
 	for _, s := range shares {
 		total += s
 	}
-	out := make([]float64, len(shares))
 	if total == 0 {
-		for i := range out {
-			out[i] = 1
+		for i := range shares {
+			shares[i] = 1
 		}
-		return out
+		return
 	}
 	for i, s := range shares {
-		out[i] = s / total
-		if out[i] > 0 && out[i] < minShare {
-			out[i] = minShare
+		v := s / total
+		if v > 0 && v < minShare {
+			v = minShare
 		}
+		shares[i] = v
 	}
-	return out
 }
 
 // partition recursively subdivides r into len(shares) cells with areas
-// proportional to shares: the share list is split into two runs of
-// roughly equal weight and r is cut along its longer axis. The
-// returned cells are parallel to shares.
-func partition(r Rect, shares []float64) []Rect {
-	out := make([]Rect, len(shares))
-	partitionInto(r, shares, out)
-	return out
-}
-
-func partitionInto(r Rect, shares []float64, out []Rect) {
+// proportional to shares, writing them to out (parallel to shares):
+// the share list is split into two runs of roughly equal weight and r
+// is cut along its longer axis.
+func partition(r Rect, shares []float64, out []Rect) {
 	if len(shares) == 0 {
 		return
 	}
@@ -187,8 +229,8 @@ func partitionInto(r Rect, shares []float64, out []Rect) {
 		// All-zero run: split evenly in half by count.
 		mid := len(shares) / 2
 		a, b := cut(r, 0.5)
-		partitionInto(a, shares[:mid], out[:mid])
-		partitionInto(b, shares[mid:], out[mid:])
+		partition(a, shares[:mid], out[:mid])
+		partition(b, shares[mid:], out[mid:])
 		return
 	}
 	// Find the split point closest to half the weight (at least one
@@ -209,8 +251,8 @@ func partitionInto(r Rect, shares []float64, out []Rect) {
 		left += s
 	}
 	a, b := cut(r, left/total)
-	partitionInto(a, shares[:mid], out[:mid])
-	partitionInto(b, shares[mid:], out[mid:])
+	partition(a, shares[:mid], out[:mid])
+	partition(b, shares[mid:], out[mid:])
 }
 
 // cut splits r along its longer axis at fraction f.
@@ -231,41 +273,41 @@ func abs(x float64) float64 {
 }
 
 // splitSpan divides [lo, hi] into len(shares) consecutive intervals
-// with widths proportional to shares, each at least minShare of the
-// span (zero-share slots stay empty but keep ordering).
-func splitSpan(lo, hi float64, shares []float64, minShare float64) [][2]float64 {
+// written to out, with widths proportional to shares, each at least
+// minShare of the span (zero-share slots stay empty but keep ordering).
+func splitSpan(lo, hi float64, shares []float64, minShare float64, out [][2]float64) {
 	span := hi - lo
 	total := 0.0
 	for _, s := range shares {
 		total += s
 	}
-	out := make([][2]float64, len(shares))
 	if total == 0 {
 		// All-zero shares: split evenly.
 		w := span / float64(len(shares))
 		for i := range out {
 			out[i] = [2]float64{lo + float64(i)*w, lo + float64(i+1)*w}
 		}
-		return out
+		return
 	}
-	// Apply the floor, then renormalize the remainder.
-	adj := make([]float64, len(shares))
-	var adjTotal float64
-	for i, s := range shares {
-		adj[i] = s / total
-		if adj[i] > 0 && adj[i] < minShare {
-			adj[i] = minShare
+	// Apply the floor, then renormalize the remainder. The floored
+	// share is recomputed in the second pass, so nothing is allocated.
+	floored := func(s float64) float64 {
+		if f := s / total; !(f > 0 && f < minShare) {
+			return f
 		}
-		adjTotal += adj[i]
+		return minShare
+	}
+	var adjTotal float64
+	for _, s := range shares {
+		adjTotal += floored(s)
 	}
 	x := lo
-	for i := range adj {
-		w := span * adj[i] / adjTotal
+	for i, s := range shares {
+		w := span * floored(s) / adjTotal
 		out[i] = [2]float64{x, x + w}
 		x += w
 	}
 	out[len(out)-1][1] = hi // absorb rounding
-	return out
 }
 
 func minf(a, b float64) float64 {
@@ -298,19 +340,14 @@ type Peak struct {
 func (l *Layout) PeaksAt(alpha float64) []Peak {
 	st := l.ST
 	sizes := st.SubtreeSize()
+	top := subtreeTops(st)
 	var peaks []Peak
 	for _, s := range st.ComponentRootsAt(alpha) {
-		top := st.Scalar[s]
-		for _, item := range st.SubtreeItems(s) {
-			if sc := st.Scalar[st.NodeOf[item]]; sc > top {
-				top = sc
-			}
-		}
 		peaks = append(peaks, Peak{
 			Node:   s,
 			Bounds: l.Rects[s],
 			Alpha:  alpha,
-			Top:    top,
+			Top:    top[s].value,
 			Items:  int(sizes[s]),
 		})
 	}
@@ -321,6 +358,35 @@ func (l *Layout) PeaksAt(alpha float64) []Peak {
 		return peaks[i].Items > peaks[j].Items
 	})
 	return peaks
+}
+
+// subtreeTop is the largest scalar in a subtree and the smallest item
+// ID carrying it.
+type subtreeTop struct {
+	value float64
+	item  int32
+}
+
+// subtreeTops returns each super node's subtree top in one reverse-ID
+// pass (a validated tree is parent-first). Among items whose scalars
+// compare equal at the maximum (-0 and +0), the smallest item ID
+// decides the value, as a scan of the subtree's items in ID order
+// would.
+func subtreeTops(st *core.SuperTree) []subtreeTop {
+	top := make([]subtreeTop, st.Len())
+	for s := range top {
+		top[s] = subtreeTop{st.Scalar[s], st.Members(int32(s))[0]}
+	}
+	for s := len(top) - 1; s >= 0; s-- {
+		p := st.Parent[s]
+		if p < 0 {
+			continue
+		}
+		if t := top[s]; t.value > top[p].value || (t.value == top[p].value && t.item < top[p].item) {
+			top[p] = t
+		}
+	}
+	return top
 }
 
 // Validate checks layout invariants: every child rectangle nested in
@@ -341,13 +407,13 @@ func (l *Layout) Validate() error {
 		}
 	}
 	// Sibling disjointness.
-	ch := st.Children()
-	for s := 0; s < st.Len(); s++ {
-		for i := 0; i < len(ch[s]); i++ {
-			for j := i + 1; j < len(ch[s]); j++ {
-				a, b := l.Rects[ch[s][i]], l.Rects[ch[s][j]]
+	for s := int32(0); s < int32(st.Len()); s++ {
+		ch := st.Children(s)
+		for i := 0; i < len(ch); i++ {
+			for j := i + 1; j < len(ch); j++ {
+				a, b := l.Rects[ch[i]], l.Rects[ch[j]]
 				if a.X0 < b.X1-eps && b.X0 < a.X1-eps && a.Y0 < b.Y1-eps && b.Y0 < a.Y1-eps {
-					return fmt.Errorf("terrain: sibling rects %d and %d overlap", ch[s][i], ch[s][j])
+					return fmt.Errorf("terrain: sibling rects %d and %d overlap", ch[i], ch[j])
 				}
 			}
 		}

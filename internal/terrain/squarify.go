@@ -22,25 +22,10 @@ const (
 	StrategyStrip
 )
 
-// partitionWith subdivides r into len(shares) cells with areas
-// proportional to shares under the chosen strategy. The result is
-// parallel to shares.
-func partitionWith(r Rect, shares []float64, strategy Strategy) []Rect {
-	switch strategy {
-	case StrategySquarified:
-		return squarify(r, shares)
-	case StrategyStrip:
-		return strips(r, shares)
-	default:
-		return partition(r, shares)
-	}
-}
-
 // strips cuts r into consecutive proportional strips along its longer
-// axis.
-func strips(r Rect, shares []float64) []Rect {
-	out := make([]Rect, len(shares))
-	spans := splitSpan(0, 1, shares, 0)
+// axis, writing them to out; spans is scratch of the same length.
+func strips(r Rect, shares []float64, out []Rect, spans [][2]float64) {
+	splitSpan(0, 1, shares, 0, spans)
 	for i, sp := range spans {
 		if r.W() >= r.H() {
 			out[i] = Rect{r.X0 + sp[0]*r.W(), r.Y0, r.X0 + sp[1]*r.W(), r.Y1}
@@ -48,26 +33,26 @@ func strips(r Rect, shares []float64) []Rect {
 			out[i] = Rect{r.X0, r.Y0 + sp[0]*r.H(), r.X1, r.Y0 + sp[1]*r.H()}
 		}
 	}
-	return out
 }
 
-// squarify implements the squarified-treemap algorithm: cells are laid
-// out in rows along the shorter side of the remaining rectangle, and a
-// row is closed as soon as adding the next cell would worsen the row's
-// worst aspect ratio. Input order is preserved (the caller already
-// sorts children by size, which is the order the algorithm expects for
-// best results).
-func squarify(r Rect, shares []float64) []Rect {
-	out := make([]Rect, len(shares))
+// squarify implements the squarified-treemap algorithm, writing the
+// cells to out: cells are laid out in rows along the shorter side of
+// the remaining rectangle, and a row is closed as soon as adding the
+// next cell would worsen the row's worst aspect ratio. Input order is
+// preserved (the caller already sorts children by size, which is the
+// order the algorithm expects for best results). Unless every share
+// is zero, squarify overwrites shares with the cells' areas.
+func squarify(r Rect, shares []float64, out []Rect) {
 	total := 0.0
 	for _, s := range shares {
 		total += s
 	}
 	if total == 0 {
-		return partition(r, shares) // fall back: binary handles all-zero
+		partition(r, shares, out) // fall back: binary handles all-zero
+		return
 	}
 	// Convert shares to absolute areas within r.
-	areas := make([]float64, len(shares))
+	areas := shares
 	for i, s := range shares {
 		areas[i] = s / total * r.Area()
 	}
@@ -99,7 +84,6 @@ func squarify(r Rect, shares []float64) []Rect {
 		remaining = placeRow(remaining, areas[i:rowEnd], rowSum, out[i:rowEnd])
 		i = rowEnd
 	}
-	return out
 }
 
 // rowWorst computes the worst aspect ratio of a row with the given

@@ -3,6 +3,7 @@ package terrain
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -46,7 +47,8 @@ func TestSquarifyAreaProportionality(t *testing.T) {
 	// to the shares.
 	r := Rect{0, 0, 1, 1}
 	shares := []float64{6, 3, 2, 1}
-	cells := squarify(r, shares)
+	cells := make([]Rect, len(shares))
+	squarify(r, slices.Clone(shares), cells)
 	total := 0.0
 	for _, s := range shares {
 		total += s
@@ -70,7 +72,8 @@ func TestSquarifyAreaProportionality(t *testing.T) {
 func TestStripsAreaProportionality(t *testing.T) {
 	r := Rect{0, 0, 2, 1}
 	shares := []float64{1, 1, 2}
-	cells := strips(r, shares)
+	cells := make([]Rect, len(shares))
+	strips(r, shares, cells, make([][2]float64, len(shares)))
 	if math.Abs(cells[0].Area()-0.5) > 1e-9 || math.Abs(cells[2].Area()-1.0) > 1e-9 {
 		t.Fatalf("strip areas %g %g %g", cells[0].Area(), cells[1].Area(), cells[2].Area())
 	}
@@ -108,7 +111,8 @@ func TestSquarifiedBeatsStripsOnWideFanout(t *testing.T) {
 }
 
 func TestSquarifyZeroShares(t *testing.T) {
-	cells := squarify(Rect{0, 0, 1, 1}, []float64{3, 0, 1})
+	cells := make([]Rect, 3)
+	squarify(Rect{0, 0, 1, 1}, []float64{3, 0, 1}, cells)
 	if cells[1].Area() != 0 {
 		t.Fatalf("zero share got area %g", cells[1].Area())
 	}
@@ -118,9 +122,10 @@ func TestSquarifyZeroShares(t *testing.T) {
 }
 
 func TestSquarifyAllZeroFallsBack(t *testing.T) {
-	cells := squarify(Rect{0, 0, 1, 1}, []float64{0, 0})
-	if len(cells) != 2 {
-		t.Fatalf("got %d cells", len(cells))
+	cells := make([]Rect, 2)
+	squarify(Rect{0, 0, 1, 1}, []float64{0, 0}, cells)
+	if cells[0].Area() != 0.5 || cells[1].Area() != 0.5 {
+		t.Fatalf("all-zero shares gave cells %v, want the binary split", cells)
 	}
 }
 

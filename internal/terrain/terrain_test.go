@@ -60,10 +60,9 @@ func TestLayoutAreasMonotoneWithSubtreeSize(t *testing.T) {
 	// (up to the MinShare floor).
 	st := paperFigure4Tree()
 	l := NewLayout(st, LayoutOptions{})
-	ch := st.Children()
 	sizes := st.SubtreeSize()
-	for s := 0; s < st.Len(); s++ {
-		sib := ch[s]
+	for s := int32(0); s < int32(st.Len()); s++ {
+		sib := st.Children(s)
 		for i := 0; i < len(sib); i++ {
 			for j := 0; j < len(sib); j++ {
 				if sizes[sib[i]] > sizes[sib[j]] {
@@ -365,7 +364,8 @@ func TestCategoryPalette(t *testing.T) {
 }
 
 func TestSplitSpanProportions(t *testing.T) {
-	slots := splitSpan(0, 10, []float64{1, 3}, 0.001)
+	slots := make([][2]float64, 2)
+	splitSpan(0, 10, []float64{1, 3}, 0.001, slots)
 	if math.Abs(slots[0][1]-slots[0][0]-2.5) > 1e-9 {
 		t.Errorf("first slot width = %g, want 2.5", slots[0][1]-slots[0][0])
 	}
@@ -375,16 +375,96 @@ func TestSplitSpanProportions(t *testing.T) {
 }
 
 func TestSplitSpanZeroShares(t *testing.T) {
-	slots := splitSpan(0, 1, []float64{0, 0}, 0.01)
+	slots := make([][2]float64, 2)
+	splitSpan(0, 1, []float64{0, 0}, 0.01, slots)
 	if math.Abs(slots[0][1]-0.5) > 1e-9 {
 		t.Errorf("zero shares should split evenly: %v", slots)
 	}
 }
 
 func TestSplitSpanMinShareFloor(t *testing.T) {
-	slots := splitSpan(0, 1, []float64{1000, 1}, 0.05)
+	slots := make([][2]float64, 2)
+	splitSpan(0, 1, []float64{1000, 1}, 0.05, slots)
 	w := slots[1][1] - slots[1][0]
 	if w < 0.04 {
 		t.Errorf("tiny share slot width %g below floor", w)
+	}
+}
+
+// chainSuperTree is the super tree of a path graph whose scalars rise
+// along the path: a chain of n single-item nodes.
+func chainSuperTree(n int) *core.SuperTree {
+	b := graph.NewBuilder(n)
+	values := make([]float64, n)
+	for v := range values {
+		values[v] = float64(v)
+		if v > 0 {
+			b.AddEdge(int32(v-1), int32(v))
+		}
+	}
+	return core.VertexSuperTree(core.MustVertexField(b.Build(), values))
+}
+
+// TestNewLayoutAllocsIndependentOfSize: every strategy lays out a
+// 2^16-node chain with only a few more allocations than a 100-node
+// chain; per-node scratch would show as thousands.
+func TestNewLayoutAllocsIndependentOfSize(t *testing.T) {
+	const slack = 2
+	small, large := chainSuperTree(100), chainSuperTree(1<<16)
+	for _, strategy := range []Strategy{StrategyBinary, StrategySquarified, StrategyStrip} {
+		opts := LayoutOptions{Strategy: strategy}
+		want := testing.AllocsPerRun(5, func() { NewLayout(small, opts) })
+		if got := testing.AllocsPerRun(5, func() { NewLayout(large, opts) }); got > want+slack {
+			t.Errorf("strategy %d: %.0f allocations on a 2^16-node chain, %.0f on 100 nodes", strategy, got, want)
+		}
+	}
+}
+
+// TestPeaksAtTopMatchesItemScan compares PeaksAt with its definition:
+// a peak's Top is the first maximal scalar met scanning its
+// component's items in increasing ID order. The fields repeat values
+// (so Algorithm 2 merges equal-scalar nodes) and mix -0 with +0,
+// which compare equal but differ in sign.
+func TestPeaksAtTopMatchesItemScan(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pools := [][]float64{
+		{negZero, 0, negZero, 0, 1, 2, 2, -1, 3},
+		// Every component tops out at a signed zero, so sibling
+		// branches tie at the maximum.
+		{negZero, 0, -1, -2},
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		pool := pools[seed%2]
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(120)
+		b := graph.NewBuilder(n)
+		for i := 0; i < n; i++ {
+			b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+		}
+		values := make([]float64, n)
+		for i := range values {
+			values[i] = pool[rng.Intn(len(pool))]
+		}
+		st := core.VertexSuperTree(core.MustVertexField(b.Build(), values))
+		l := NewLayout(st, LayoutOptions{})
+		for _, alpha := range []float64{-2, -1, negZero, 0, 0.5, 1, 2, 3, 4} {
+			peaks := l.PeaksAt(alpha)
+			roots := st.ComponentRootsAt(alpha)
+			if len(peaks) != len(roots) {
+				t.Fatalf("seed %d α=%g: %d peaks for %d components", seed, alpha, len(peaks), len(roots))
+			}
+			for _, p := range peaks {
+				want := st.Scalar[p.Node]
+				for _, item := range st.SubtreeItems(p.Node) {
+					if sc := st.Scalar[st.NodeOf[item]]; sc > want {
+						want = sc
+					}
+				}
+				if math.Float64bits(p.Top) != math.Float64bits(want) {
+					t.Fatalf("seed %d α=%g node %d: Top %g (sign %v), want %g (sign %v)",
+						seed, alpha, p.Node, p.Top, math.Signbit(p.Top), want, math.Signbit(want))
+				}
+			}
+		}
 	}
 }

@@ -20,12 +20,14 @@ package scalarfield
 //	tree — the super scalar tree (internal/core codec, reused as-is)
 //
 // Version 1 containers carried the graph as a "grph" section in the
-// v1 edge-list codec; LoadSnapshot still decodes them. Version 2
-// writes "csr2" instead: the graph's contiguous arena written
-// verbatim, so decoding is header-validate + alias — O(header) plus
-// one read-only verification scan instead of the O(V+E) edge-by-edge
-// CSR rebuild — and the graph section of a snapshot file can be
-// mmap'd and served in place (LoadSnapshotFile). The "pad0" section
+// v1 edge-list codec. Version 1 is decode-only: LoadSnapshot and
+// LoadSnapshotFile still read such files (testdata/snapshot_v1_*.sfsn
+// pin that), but nothing writes them any more. Version 2 writes "csr2"
+// instead: the graph's contiguous arena written verbatim, so decoding
+// is header-validate + alias — O(header) plus one read-only
+// verification scan instead of the O(V+E) edge-by-edge CSR rebuild —
+// and the graph section of a snapshot file can be mmap'd and served in
+// place (LoadSnapshotFile). The "pad0" section
 // exists only so the csr2 payload starts at a file offset that is a
 // multiple of 8: a page-aligned mapping of the section then yields an
 // 8-aligned buffer the graph views can alias directly.
@@ -57,9 +59,8 @@ import (
 )
 
 const (
-	snapshotMagic     = "SFSN"
-	snapshotVersion   = 2
-	snapshotVersionV1 = 1
+	snapshotMagic   = "SFSN"
+	snapshotVersion = 2
 )
 
 // snapshotHeaderLen is the container prologue: 4-byte magic + 1
@@ -106,26 +107,10 @@ type SnapshotRecord struct {
 // (version 2, arena graph section). The graph bytes go out verbatim
 // from the graph's own arena — encoding does no per-edge work.
 func SaveSnapshot(w io.Writer, rec *SnapshotRecord) error {
-	return saveSnapshot(w, rec, false)
-}
-
-// SaveSnapshotV1 writes the version 1 container with the edge-list
-// graph section, byte-compatible with files produced before the arena
-// format existed. It exists for compatibility tests and for measuring
-// the old decode path; new code should use SaveSnapshot.
-func SaveSnapshotV1(w io.Writer, rec *SnapshotRecord) error {
-	return saveSnapshot(w, rec, true)
-}
-
-func saveSnapshot(w io.Writer, rec *SnapshotRecord, legacyV1 bool) error {
 	if rec.Graph == nil || rec.Terrain == nil || rec.Terrain.Tree == nil {
 		return fmt.Errorf("scalarfield: SaveSnapshot needs a graph and a terrain with a tree")
 	}
-	version := byte(snapshotVersion)
-	if legacyV1 {
-		version = snapshotVersionV1
-	}
-	ww, err := wire.NewWriter(w, snapshotMagic, version)
+	ww, err := wire.NewWriter(w, snapshotMagic, snapshotVersion)
 	if err != nil {
 		return err
 	}
@@ -149,31 +134,21 @@ func saveSnapshot(w io.Writer, rec *SnapshotRecord, legacyV1 bool) error {
 		return err
 	}
 
-	if legacyV1 {
-		var gp payloadWriter
-		if err := graph.WriteBinary(&gp, rec.Graph); err != nil {
-			return err
-		}
-		if err := ww.Section("grph", gp.p.Bytes()); err != nil {
-			return err
-		}
-	} else {
-		// Align the csr2 payload to a multiple of 8 bytes from the start
-		// of the file, so a page-aligned mapping (or a straight read of
-		// the whole file into an aligned buffer at offset 0... which the
-		// stream path does not guarantee, but the mmap path does) hands
-		// the decoder an 8-aligned arena it can alias with no copy.
-		off := int64(snapshotHeaderLen) +
-			int64(sectionHeaderLen+len(meta.Bytes())) +
-			int64(sectionHeaderLen+len(layo.Bytes()))
-		csr2PayloadOff := off + 2*sectionHeaderLen // after pad0 and csr2 headers
-		pad := int((8 - csr2PayloadOff%8) % 8)
-		if err := ww.Section("pad0", make([]byte, pad)); err != nil {
-			return err
-		}
-		if err := ww.Section("csr2", graph.ArenaWireBytes(rec.Graph)); err != nil {
-			return err
-		}
+	// Align the csr2 payload to a multiple of 8 bytes from the start of
+	// the file, so a page-aligned mapping (or a straight read of the
+	// whole file into an aligned buffer at offset 0... which the stream
+	// path does not guarantee, but the mmap path does) hands the decoder
+	// an 8-aligned arena it can alias with no copy.
+	off := int64(snapshotHeaderLen) +
+		int64(sectionHeaderLen+len(meta.Bytes())) +
+		int64(sectionHeaderLen+len(layo.Bytes()))
+	csr2PayloadOff := off + 2*sectionHeaderLen // after pad0 and csr2 headers
+	pad := int((8 - csr2PayloadOff%8) % 8)
+	if err := ww.Section("pad0", make([]byte, pad)); err != nil {
+		return err
+	}
+	if err := ww.Section("csr2", graph.ArenaWireBytes(rec.Graph)); err != nil {
+		return err
 	}
 
 	var hght wire.Payload
@@ -200,7 +175,7 @@ func saveSnapshot(w io.Writer, rec *SnapshotRecord, legacyV1 bool) error {
 }
 
 // payloadWriter adapts a wire.Payload to io.Writer for the nested
-// graph and tree codecs.
+// tree codec.
 type payloadWriter struct{ p wire.Payload }
 
 func (w *payloadWriter) Write(b []byte) (int, error) {

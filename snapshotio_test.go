@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -94,7 +96,8 @@ func assertRecordsDeepEqual(t testing.TB, want, got *SnapshotRecord) {
 	if !reflect.DeepEqual(gt.Tree.Parent, wt.Tree.Parent) ||
 		!reflect.DeepEqual(gt.Tree.Scalar, wt.Tree.Scalar) ||
 		!reflect.DeepEqual(gt.Tree.NodeOf, wt.Tree.NodeOf) ||
-		!reflect.DeepEqual(gt.Tree.Members, wt.Tree.Members) {
+		!reflect.DeepEqual(gt.Tree.MemberStart, wt.Tree.MemberStart) ||
+		!reflect.DeepEqual(gt.Tree.MemberItems, wt.Tree.MemberItems) {
 		t.Fatal("super tree mismatch after round trip")
 	}
 	if !reflect.DeepEqual(gt.Layout, wt.Layout) {
@@ -200,20 +203,6 @@ func FuzzSnapshotCodec(f *testing.F) {
 		}
 		assertRecordsDeepEqual(t, rec, got)
 
-		// The legacy v1 container must keep round-tripping too (derived
-		// from seed parity so the corpus signature stays stable).
-		if seed%2 == 0 {
-			var v1 bytes.Buffer
-			if err := SaveSnapshotV1(&v1, rec); err != nil {
-				t.Fatal(err)
-			}
-			gotV1, err := LoadSnapshot(bytes.NewReader(v1.Bytes()))
-			if err != nil {
-				t.Fatalf("v1 round trip failed: %v", err)
-			}
-			assertRecordsDeepEqual(t, rec, gotV1)
-		}
-
 		// The offset-walking file loader must agree with the stream
 		// decode, through the mapper (csr2, misaligned copies included —
 		// the +1 offset defeats any natural alignment).
@@ -250,40 +239,54 @@ func FuzzSnapshotCodec(f *testing.F) {
 	})
 }
 
-// TestSnapshotV1Compat: the version 1 container (edge-list graph
-// section) still decodes, through both the stream and the file loader,
-// deep-equal to what a version 2 decode of the same record yields.
+// TestSnapshotV1Compat: version 1 containers (edge-list graph
+// section) are decode-only. The fixtures under testdata were written
+// by the last version 1 encoder from the records rebuilt here; both
+// the stream and the file loader must still decode them deep-equal to
+// those records.
 func TestSnapshotV1Compat(t *testing.T) {
-	rec := randomSnapshotRecord(t, 21, 50, 200, false, true)
-	var buf bytes.Buffer
-	if err := SaveSnapshotV1(&buf, rec); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[4] != 1 {
-		t.Fatalf("SaveSnapshotV1 wrote container version %d, want 1", buf.Bytes()[4])
-	}
-	got, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRecordsDeepEqual(t, rec, got)
+	for _, tc := range []struct {
+		file               string
+		seed               int64
+		n, attempts        int
+		edgeBased, colored bool
+	}{
+		{"snapshot_v1_vertex.sfsn", 21, 24, 60, false, true},
+		{"snapshot_v1_edge.sfsn", 22, 20, 50, true, false},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			rec := randomSnapshotRecord(t, tc.seed, tc.n, tc.attempts, tc.edgeBased, tc.colored)
+			data, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data[4] != 1 {
+				t.Fatalf("fixture has container version %d, want 1", data[4])
+			}
+			got, err := LoadSnapshot(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRecordsDeepEqual(t, rec, got)
 
-	// The file loader must fall back to the heap path (no csr2 section
-	// to map) and never call the mapper.
-	mapped := false
-	fileRec, release, err := LoadSnapshotFile(bytes.NewReader(buf.Bytes()), int64(buf.Len()),
-		func(off, length int64) ([]byte, func(), error) {
-			mapped = true
-			return nil, nil, nil
+			// The file loader must fall back to the heap path (no csr2
+			// section to map) and never call the mapper.
+			mapped := false
+			fileRec, release, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)),
+				func(off, length int64) ([]byte, func(), error) {
+					mapped = true
+					return nil, nil, nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+			if mapped {
+				t.Fatal("mapper called for a v1 container with no csr2 section")
+			}
+			assertRecordsDeepEqual(t, rec, fileRec)
 		})
-	if err != nil {
-		t.Fatal(err)
 	}
-	defer release()
-	if mapped {
-		t.Fatal("mapper called for a v1 container with no csr2 section")
-	}
-	assertRecordsDeepEqual(t, rec, fileRec)
 }
 
 // TestSnapshotCsr2PayloadAligned: whatever the (variable-length) meta
